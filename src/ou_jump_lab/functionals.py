@@ -17,6 +17,15 @@ fixed here once and tested hard):
 Comparisons against the threshold are strict (``> lam``); a gap exactly
 equal to lam does not count, so integer-valued curves against integer
 thresholds behave exactly.
+
+``jump_count`` is an exact O(N) sweep that keeps two value ranges: the
+samples ending a chain of the current best length K, and those ending a
+chain of length K - 1.  The samples whose best chain length is >= k form
+nested sets, and a sample reaches level k + 1 exactly when it clears the
+min or the max of level k by more than lam.  Once K >= 2, level K - 1
+spans more than lam, so a sample that clears neither range lies inside it
+and cannot change levels K - 1 or K; lower levels are never needed again.
+``jump_count_dp`` is the quadratic oracle it is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -105,78 +114,45 @@ def _check_lambda(lam: float) -> float:
 # jump counting
 # ---------------------------------------------------------------------------
 
-class _PrefixMaxTree:
-    """Fenwick tree over ranks supporting prefix-max queries."""
-
-    __slots__ = ("size", "data")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.data = [0] * (size + 1)
-
-    def update(self, idx: int, value: int) -> None:
-        idx += 1
-        while idx <= self.size:
-            if self.data[idx] < value:
-                self.data[idx] = value
-            idx += idx & (-idx)
-
-    def query(self, count: int) -> int:
-        """Max over the first ``count`` ranks (0 if count <= 0)."""
-        best = 0
-        idx = min(count, self.size)
-        while idx > 0:
-            if self.data[idx] > best:
-                best = self.data[idx]
-            idx -= idx & (-idx)
-        return best
-
-
 def jump_count(curve: SampledCurve, lam: float) -> int:
     """Length of the longest chain with consecutive gaps strictly > lam.
 
-    Exact O(N log N) sweep: process samples left to right, and for each
-    value query the best chain ending at a value separated by more than lam
-    on either side.  The separation predicate is evaluated with the exact
-    same float subtraction the quadratic reference uses, located by binary
-    search (the predicate is monotone along the sorted unique values), so
-    this agrees with :func:`jump_count_dp` bit for bit.
+    Exact O(N) sweep with O(1) state.  Let S_k be the samples seen so far
+    that end some chain of length >= k.  The S_k are nested, and a new
+    sample x extends a chain of length k exactly when it *clears* S_k:
+    ``x - min(S_k) > lam`` or ``max(S_k) - x > lam``.  Float
+    subtraction is monotone and ``fl(a - b) == -fl(b - a)``, so this is the
+    same predicate as ``abs(v[j] - x) > lam`` over j in S_k, which
+    :func:`jump_count_dp` evaluates; the two agree bit for bit.
+
+    Only two value ranges are kept, for the current best length K:
+    B = [lo_b, hi_b] spans S_K, and A = [lo_a, hi_a] is the span of S_{K-1}
+    when level K opened (unbounded while K = 1, when every sample reaches
+    level 1).  A sample that clears B opens level K + 1; one that clears A
+    joins S_K.  Levels below K - 1 can be dropped and A never needs
+    widening: for K >= 2, A holds two samples more than lam apart, so a
+    sample that clears neither A nor B lies inside A's range and changes
+    nothing at level K - 1 or above, and a sample that joins S_K is covered
+    by B, which is tested first.
     """
     lam = _check_lambda(lam)
     v = curve.values
     if v.size == 1 or curve.value_range() <= lam:
         return 1
-    uniq = np.unique(v)
-    m = uniq.size
-    below = _PrefixMaxTree(m)   # chains ending at small values
-    above = _PrefixMaxTree(m)   # chains ending at large values (reversed ranks)
-    ranks = np.searchsorted(uniq, v)
-    best_overall = 1
-    for val, rank in zip(v, ranks):
-        # count of unique values u with val - u > lam (a prefix of uniq)
-        lo, hi = 0, m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if val - uniq[mid] > lam:
-                lo = mid + 1
-            else:
-                hi = mid
-        n_below = lo
-        # count of unique values u with u - val > lam (a suffix of uniq)
-        lo, hi = 0, m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if uniq[mid] - val > lam:
-                hi = mid
-            else:
-                lo = mid + 1
-        n_above = m - lo
-        best = 1 + max(below.query(n_below), above.query(n_above))
-        if best > best_overall:
-            best_overall = best
-        below.update(int(rank), best)
-        above.update(m - 1 - int(rank), best)
-    return best_overall
+    k = 1
+    lo_b = hi_b = float(v[0])
+    lo_a, hi_a = -math.inf, math.inf
+    for x in v.tolist():
+        if x - lo_b > lam or hi_b - x > lam:
+            k += 1
+            lo_a, hi_a = min(lo_b, x), max(hi_b, x)
+            lo_b = hi_b = x
+        elif x - lo_a > lam or hi_a - x > lam:
+            if x < lo_b:
+                lo_b = x
+            elif x > hi_b:
+                hi_b = x
+    return k
 
 
 def jump_count_dp(curve: SampledCurve, lam: float) -> int:

@@ -26,8 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -207,15 +205,6 @@ def build_model(config: ExperimentConfig) -> OUModel:
         cfg["Q"] = config.q
         cfg["B"] = config.b
     return model_from_config(cfg)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("OU_JUMP_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValidationError(f"OU_JUMP_THREADS must be an integer, got {raw!r}")
-    return max(1, count)
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +513,7 @@ def run_weak_type_sweep(config: ExperimentConfig) -> WeakTypeReport:
             n_coarse=ts_coarse.size,
         )
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_atom, atoms))
-    else:
-        rows = [one_atom(a) for a in atoms]
+    rows = [one_atom(a) for a in atoms]
 
     by_radius = {}
     for row in rows:

@@ -5,6 +5,7 @@ extrema-reduced variation DP to the full one, and every hand example is
 small enough to verify by eye.
 """
 
+import itertools
 import json
 import math
 
@@ -88,12 +89,53 @@ def test_jump_count_hand_examples():
     # the best chain may skip samples
     assert jump_count(_curve([0.0, 0.5, 1.1]), 1.0) == 2
     assert jump_count(_curve([0.0, 3.0, 0.1, 3.1]), 2.9) == 2
+    # both value ranges are needed: tracking only the top level's range
+    # gives 3 here, and a greedy walk from the last chain point gives 1 on
+    # the second curve
+    assert jump_count(_curve([0.0, 2.0, 1.0, 3.0]), 1.5) == 2
+    assert jump_count(_curve([1.0, 0.0, 2.0]), 1.5) == 2
 
 
 def test_jump_count_matches_reference():
     rng = np.random.default_rng(SEED)
     for curve in _random_curves(rng, 150):
         lam = float(rng.uniform(0.05, 2.5))
+        assert jump_count(curve, lam) == jump_count_dp(curve, lam)
+
+
+def test_jump_count_matches_reference_exhaustively():
+    """Every sequence of length <= 6 over {0, 1, 2, 3}, thresholds between
+    and on the integer gaps."""
+    for length in range(1, 7):
+        times = np.arange(1, length + 1, dtype=float)
+        for seq in itertools.product((0.0, 1.0, 2.0, 3.0), repeat=length):
+            curve = SampledCurve(times, np.array(seq))
+            for lam in (0.5, 1.0, 1.5, 2.5):
+                assert jump_count(curve, lam) == jump_count_dp(curve, lam), (
+                    seq, lam,
+                )
+
+
+def test_jump_count_float_edges():
+    """The strict predicate on the float differences, at the last bit."""
+    ulp = 2.0**-52
+    tied = _curve(1.0 + ulp * np.array([0.0, 2.0, 0.0, 2.0]))
+    assert jump_count(tied, 2.0 * ulp) == 1    # gaps exactly lam
+    assert jump_count(tied, ulp) == 4
+    # the exact gap exceeds lam but the float gap rounds down onto it
+    rounded = _curve([-1e-17, 1.0 + ulp])
+    assert rounded.values[1] - rounded.values[0] == 1.0 + ulp
+    assert jump_count(rounded, 1.0 + ulp) == 1
+    rng = np.random.default_rng(SEED + 4)
+    for _ in range(300):
+        steps = rng.integers(0, 6, int(rng.integers(2, 14)))
+        curve = _curve(1.0 + ulp * steps)
+        lam = ulp * float(rng.integers(1, 5))
+        assert jump_count(curve, lam) == jump_count_dp(curve, lam)
+    pool = np.array([-1e-17, 0.0, 1e-17, 1.0, 1.0 + ulp, 1.0 + 2.0 * ulp, 2.0])
+    for _ in range(300):
+        curve = _curve(rng.choice(pool, int(rng.integers(2, 14))))
+        lam = float(rng.choice([1.0, 1.0 + ulp, ulp, 1e-17]))
         assert jump_count(curve, lam) == jump_count_dp(curve, lam)
 
 

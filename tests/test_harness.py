@@ -25,6 +25,10 @@ from ou_jump_lab import (
     cov_qinf,
     indicator_atom,
     invariant_measure,
+    jump_count,
+    jump_count_dp,
+    lambda_grid,
+    mixing_time,
     monomial,
     run_identity_suite,
     run_regime_checks,
@@ -36,7 +40,7 @@ from ou_jump_lab.harness import (
     _invariant_window_weights_1d,
     _row_lambda_grid,
     _smooth_atom,
-    _thread_count,
+    _time_grid,
     build_model,
 )
 
@@ -90,16 +94,6 @@ def test_build_model_explicit_matrices():
     assert model.diffusion[0, 0] == 2.0
     assert model.drift[0, 0] == -3.0
     assert build_model(ExperimentConfig()).n == 1
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("OU_JUMP_THREADS", raising=False)
-    assert _thread_count() == 1
-    monkeypatch.setenv("OU_JUMP_THREADS", "4")
-    assert _thread_count() == 4
-    monkeypatch.setenv("OU_JUMP_THREADS", "many")
-    with pytest.raises(ValidationError):
-        _thread_count()
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +174,23 @@ def test_exact_field_matches_adaptive_kernel_route():
             assert abs(field[i, k] - ref) <= 1e-8 * max(1.0, abs(ref)), (x, t)
 
 
+def test_jump_count_on_full_length_field_curve():
+    """A default-sweep field curve (2,203 samples) against the quadratic
+    reference, at thresholds spread over its own lambda grid."""
+    cfg = ExperimentConfig()
+    model = build_model(cfg)
+    family = cov_qinf(model)
+    lo, hi = -0.5, 0.5
+    mass = invariant_measure(family).interval_mass(lo, hi)
+    ts = _time_grid(cfg.t_min, 20.0 * mixing_time(model), cfg.points_per_decade)
+    field = _exact_field(model, family, lo, hi, mass, np.array([0.7]), ts)
+    curve = SampledCurve(ts, field[0])
+    assert curve.n_samples == 2203
+    lams = lambda_grid([curve], cfg.lambda_points, cfg.lambda_span)
+    for lam in lams[::8]:
+        assert jump_count(curve, lam) == jump_count_dp(curve, lam), lam
+
+
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
@@ -243,17 +254,13 @@ def test_sweep_rejects_2d():
         run_weak_type_sweep(cfg)
 
 
-def test_sweep_reports_are_byte_identical(tmp_path, monkeypatch):
+def test_sweep_reports_are_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    run_weak_type_sweep(ExperimentConfig(
-        **{**TINY_SWEEP.to_json_dict(), "output_dir": str(out_a)}
-    ))
-    # second run threaded: map order, not scheduling, decides the report
-    monkeypatch.setenv("OU_JUMP_THREADS", "2")
-    run_weak_type_sweep(ExperimentConfig(
-        **{**TINY_SWEEP.to_json_dict(), "output_dir": str(out_b)}
-    ))
+    for out in (out_a, out_b):
+        run_weak_type_sweep(ExperimentConfig(
+            **{**TINY_SWEEP.to_json_dict(), "output_dir": str(out)}
+        ))
     for name in ("config.json", "rows.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     header = (out_a / "rows.csv").read_text(encoding="utf-8").splitlines()[0]
