@@ -30,6 +30,7 @@ from .functionals import (
 )
 from .harness import (
     ExperimentConfig,
+    _json_text,
     build_model,
     config_hash,
     monomial,
@@ -122,7 +123,7 @@ def _run_dir(args, subcommand: str, digest: str) -> Path:
 
 
 def _echo_config(outdir: Path, config: ExperimentConfig) -> None:
-    payload = json.dumps(config.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    payload = _json_text(config.to_json_dict())
     (outdir / "config.json").write_text(payload, encoding="utf-8")
 
 
@@ -164,9 +165,7 @@ def _cmd_model_info(args) -> int:
     }
     outdir = _run_dir(args, "model-info", digest)
     _echo_config(outdir, config)
-    (outdir / "model.json").write_text(
-        json.dumps(info, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (outdir / "model.json").write_text(_json_text(info), encoding="utf-8")
     print(f"model n={model.n} preset={config.preset} digest={digest}")
     print(f"mixing time      : {info['mixing_time']!r}")
     print(f"drift eigenvalues: {', '.join(info['drift_eigenvalues'])}")
@@ -199,9 +198,7 @@ def _cmd_kernel_eval(args) -> int:
         "value": result.value,
         "n_factor": factor,
     }
-    (outdir / "kernel.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (outdir / "kernel.json").write_text(_json_text(payload), encoding="utf-8")
     print(f"log K~({args.kappa}) = {result.log_value!r}")
     print(f"K~({args.kappa})     = {result.value!r}")
     print(f"N^({args.kappa})     = {factor!r}")
@@ -223,8 +220,6 @@ def _cmd_certify(args) -> int:
             "pair_count": args.pair_count,
         },
     )
-    outdir = _run_dir(args, "certify", digest)
-    _echo_config(outdir, config)
     try:
         raw_center = [float(v) for v in str(args.cell_center).split(",")]
     except ValueError:
@@ -236,6 +231,8 @@ def _cmd_certify(args) -> int:
             f"--cell-center has {len(raw_center)} components but n={model.n}"
         )
     cell_center = tuple(raw_center + [0.0] * (model.n - len(raw_center)))
+    outdir = _run_dir(args, "certify", digest)
+    _echo_config(outdir, config)
     summary = {"version": __version__, "bounds": {}}
     for bound_id in bound_ids:
         spec = BoundSampleSpec(
@@ -253,9 +250,7 @@ def _cmd_certify(args) -> int:
         }
         print(f"[OK] {bound_id}: C={report.fitted_C!r} c={report.fitted_c!r} "
               f"({report.sample_count} samples)")
-    (outdir / "certify.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (outdir / "certify.json").write_text(_json_text(summary), encoding="utf-8")
     print(f"artifacts -> {outdir}")
     return 0
 
@@ -296,9 +291,7 @@ def _cmd_semigroup_eval(args) -> int:
     }
     if len(values) == 2:
         payload["route_gap"] = abs(values["kernel"] - values["kolmogorov"])
-    (outdir / "semigroup.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (outdir / "semigroup.json").write_text(_json_text(payload), encoding="utf-8")
     for route, val in values.items():
         print(f"H_t f via {route:<10}: {val!r}")
     if "route_gap" in payload:
@@ -345,9 +338,7 @@ def _cmd_functionals(args) -> int:
         "per_curve": per_curve,
         "weak_seminorm": estimate.to_json_dict(),
     }
-    (outdir / "functionals.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (outdir / "functionals.json").write_text(_json_text(payload), encoding="utf-8")
     print(f"artifacts -> {outdir}")
     return 0
 

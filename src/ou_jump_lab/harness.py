@@ -233,8 +233,8 @@ def monomial(powers: Sequence[int]) -> Callable:
     return f
 
 
-def _smooth_atom(family: CovarianceFamily, center: np.ndarray, width: float,
-                 quad: QuadratureSpec) -> Callable:
+def _smooth_atom(family: CovarianceFamily, center: np.ndarray,
+                 width: float) -> Callable:
     """Smooth compactly supported atom, normalized to unit invariant-L1 mass.
 
     The mass is integrated over the atom's own support rather than by the
@@ -243,7 +243,6 @@ def _smooth_atom(family: CovarianceFamily, center: np.ndarray, width: float,
     of magnitude silently rescales every ratio built on the atom.
     """
     center = np.asarray(center, dtype=float)
-    del quad
 
     def raw(pts: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(np.atleast_2d(pts) - center[None, :], axis=1)
@@ -308,11 +307,7 @@ def _spatial_grid(config: ExperimentConfig, family: CovarianceFamily,
         ladder.extend([center - fac * radius, center + fac * radius])
     ladder = [p for p in ladder if abs(p) <= config.backbone_halfwidth]
     pts = np.unique(np.concatenate([backbone, np.asarray(ladder)]))
-    sd = math.sqrt(float(family.qinf[0, 0]))
-    mids = 0.5 * (pts[1:] + pts[:-1])
-    cdf = ndtr(mids / sd)
-    weights = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
-    return pts, weights
+    return pts, _grid_weights_1d(family, pts)
 
 
 def _exact_field(model: OUModel, family: CovarianceFamily, lo: float, hi: float,
@@ -803,7 +798,7 @@ def run_regime_checks(config: ExperimentConfig) -> RegimeReport:
     # Smooth bump rather than an indicator: the remainder field is computed by
     # Gaussian quadrature, and a discontinuous integrand would alias node
     # crossings into spurious jumps of the time curve.
-    atom0 = _smooth_atom(family, scheme.centers[0], 0.25, quad)
+    atom0 = _smooth_atom(family, scheme.centers[0], 0.25)
     ts_glob_f = _time_grid(config.t_min, 1.0, config.regime_points_per_decade)
     ts_glob_c = ts_glob_f[::2]
     xs_glob = backbone[:, None]
@@ -836,7 +831,7 @@ def run_regime_checks(config: ExperimentConfig) -> RegimeReport:
         if cap <= config.t_min:
             continue
         width = 0.5 * rho_j
-        atom = _smooth_atom(family, center, width, quad)
+        atom = _smooth_atom(family, center, width)
         # cell-local spatial grid inside the plateau support
         offs = np.array([-5.5, -4.0, -2.5, -1.5, -0.75, -0.25, 0.0,
                          0.25, 0.75, 1.5, 2.5, 4.0, 5.5])
@@ -1123,7 +1118,7 @@ def run_identity_suite(
         j = int(np.argmin(np.abs(norms - 2.0)))
         center = scheme.centers[j]
         rho_j = float(scheme.radii[j])
-        atom = _smooth_atom(family, center, 0.5 * rho_j, quad)
+        atom = _smooth_atom(family, center, 0.5 * rho_j)
         cap = scheme.cell_time_cap(j)
         worst_tel = 0.0
         worst_conv = 0.0

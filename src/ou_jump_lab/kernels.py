@@ -19,8 +19,7 @@ code below measures exactly how small, with explicit constants.
 All kernel evaluations happen in log space.  The exact kernel's log is
 computed through the transition-density form (centered at ``e^{tB} x`` with
 covariance ``Q_t``), which stays finite for every ``t`` up to the covariance
-clamp; the recentred textbook form is kept as a cross-check for moderate
-times where the adjoint flow does not overflow.
+clamp.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def _check_kappa(kappa: int) -> int:
 def _check_time(t: float) -> float:
     t = float(t)
     if not t > 0.0:
-        raise TimeNonPositive(f"kernel evaluation needs t > 0, got {t}")
+        raise TimeNonPositive(f"evaluation needs t > 0, got {t}")
     return t
 
 
@@ -156,7 +155,7 @@ def _log_kernel_values(
             + rx
             - 0.5 * _quad_form(bundle.inv_gap, diff)
         )
-    z = np.linalg.solve(_diffusion_chol(model, family), diff.T)
+    z = np.linalg.solve(family.diffusion_chol, diff.T)
     metric = np.einsum("im,im->m", z, z)
     if kappa == 2:
         return (
@@ -166,28 +165,10 @@ def _log_kernel_values(
         )
     # kappa == 3: determinant prefactor frozen to its small-time power law
     return (
-        0.5 * (family.qinf_logdet - _diffusion_logdet(model, family))
+        0.5 * (family.qinf_logdet - family.diffusion_logdet)
         - 0.5 * n * math.log(t)
         + rx
         - metric / (2.0 * t)
-    )
-
-
-def _log_kernel_recentred(
-    model: OUModel,
-    family: CovarianceFamily,
-    t: float,
-    xs: np.ndarray,
-    us: np.ndarray,
-) -> np.ndarray:
-    """Exact kernel via the recentred form (cross-check; moderate t only)."""
-    bundle = family.qt_bundle(t)
-    rx = np.atleast_1d(quadratic_R(family, xs))
-    diff = us - xs @ bundle.dt.T
-    return (
-        0.5 * (family.qinf_logdet - bundle.qt_logdet)
-        + rx
-        - 0.5 * _quad_form(bundle.inv_gap, diff)
     )
 
 
@@ -204,12 +185,12 @@ def _n_factor_values(
     n = model.n
     diff = us - xs
     if kappa >= 2:
-        z = np.linalg.solve(_diffusion_chol(model, family), diff.T)
+        z = np.linalg.solve(family.diffusion_chol, diff.T)
         metric = np.einsum("im,im->m", z, z)
         if kappa == 3:
             return -0.5 * n / t + metric / (2.0 * t * t)
         return _trace_term(model, family, t) + metric / (2.0 * t * t)
-    lq_t = _diffusion_chol(model, family).T
+    lq_t = family.diffusion_chol.T
     carrier = lq_t @ bundle.exp_tb.T @ bundle.qt_inv
     if kappa == 1:
         w = diff @ carrier.T
@@ -227,19 +208,6 @@ def _trace_term(model: OUModel, family: CovarianceFamily, t: float) -> float:
     bundle = family.qt_bundle(t)
     e = bundle.exp_tb
     return -0.5 * float(np.trace(bundle.qt_inv @ e @ model.diffusion @ e.T))
-
-
-def _diffusion_chol(model: OUModel, family: CovarianceFamily) -> np.ndarray:
-    cached = family._cache.get("_diff_chol")
-    if cached is None:
-        cached = np.linalg.cholesky(model.diffusion)
-        family._cache["_diff_chol"] = cached
-    return cached
-
-
-def _diffusion_logdet(model: OUModel, family: CovarianceFamily) -> float:
-    chol = _diffusion_chol(model, family)
-    return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +334,7 @@ class _ProfileStack:
         self.carrier = np.empty((count, n, n))
         self.logdet_half = np.empty(count)
         self.trace_term = np.empty(count)
-        lq_t = _diffusion_chol(model, family).T
+        lq_t = family.diffusion_chol.T
         for i, t in enumerate(ts):
             bundle = family.qt_bundle(float(t))
             self.qt_inv[i] = bundle.qt_inv
@@ -398,20 +366,6 @@ class _ProfileStack:
         return log_k, n0
 
 
-def _profile_stack(
-    model: OUModel, family: CovarianceFamily, ts: np.ndarray
-) -> _ProfileStack:
-    key = ("_profile_stack", ts.tobytes())
-    with family._lock:
-        hit = family._cache.get(key)
-    if hit is not None:
-        return hit
-    stack = _ProfileStack(model, family, ts)
-    with family._lock:
-        family._cache.setdefault(key, stack)
-    return stack
-
-
 def kernel_time_profile(
     model: OUModel,
     family: CovarianceFamily,
@@ -432,7 +386,7 @@ def kernel_time_profile(
     x = np.asarray(x, dtype=float).reshape(model.n)
     u = np.asarray(u, dtype=float).reshape(model.n)
     if kappa == 0:
-        stack = _profile_stack(model, family, ts)
+        stack = family.profile_stack(ts, lambda: _ProfileStack(model, family, ts))
         return stack.log_k0_and_n0(x, u)
     logs = np.empty(ts.size)
     nvals = np.empty(ts.size)

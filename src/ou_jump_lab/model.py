@@ -11,13 +11,17 @@ module owns:
 * input validation and the two built-in presets,
 * an in-house scaling-and-squaring matrix exponential,
 * the time-t covariance Q_t (block-exponential method), the equilibrium
-  covariance Q_inf (Lyapunov solve), and a cached bundle of derived
-  per-time matrices,
+  covariance Q_inf (scipy's Lyapunov solve), and the covariance family that
+  owns every value derived from them,
 * the quadratic form R, Gaussian densities in log space, and the
   invariant measure.
 
-Everything is plain ``numpy``; matrices are small (desk scale, n <= 3 in
-practice) so clarity beats asymptotics throughout.
+The matrix exponential stays in-house on accuracy, not to avoid scipy: on
+the block matrix behind Q_t, ``scipy.linalg.expm`` loses Q_t to a relative
+error of 4.2e-5 at t = 10 on a non-normal 2-d model, where the Pade rule
+here stays at 5.3e-13 (``test_cov_qt_matches_lyapunov_difference`` pins
+this).  Matrices are small (desk scale, n <= 3 in practice) so clarity
+beats asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 from scipy.special import ndtr
 
 from .errors import (
@@ -224,7 +229,10 @@ def matrix_exp(a) -> np.ndarray:
     Degree-13 diagonal Pade approximant with scaling and squaring; the
     scaling threshold is the usual double-precision theta_13.  Matches
     ``scipy.linalg.expm`` to machine precision on well-conditioned input
-    (the test suite pins this) while keeping the hot path dependency-free.
+    (the test suite pins this).  It is kept instead of ``expm`` because
+    ``cov_qt`` exponentiates a block matrix whose anti-stable corner grows
+    like e^{t|B|}: on a non-normal 2-d model ``expm`` gives Q_t a relative
+    error of 4.2e-5 at t = 10 and trips the symmetry gate, this rule 5.3e-13.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -315,39 +323,23 @@ def cov_qt(model: OUModel, t: float) -> np.ndarray:
     return qt
 
 
-def _lyapunov_solve(model: OUModel) -> np.ndarray:
-    """Solve drift X + X drift^T = -diffusion for X (vectorized Kronecker form).
-
-    For the desk-scale dimensions used here a dense Kronecker solve is exact
-    enough and keeps the solver in-house; larger problems fall back to
-    scipy's Schur-based routine.
-    """
-    n = model.n
-    b = model.drift
-    if n <= 8:
-        eye = np.eye(n)
-        lhs = np.kron(b, eye) + np.kron(eye, b)
-        rhs = -model.diffusion.reshape(-1)
-        try:
-            x = np.linalg.solve(lhs, rhs).reshape(n, n)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"Lyapunov system singular: {exc}") from None
-    else:  # pragma: no cover - beyond the scale this package targets
-        from scipy.linalg import solve_continuous_lyapunov
-
-        x = solve_continuous_lyapunov(b, -model.diffusion)
-    return 0.5 * (x + x.T)
-
-
 @dataclass
 class CovarianceFamily:
-    """Equilibrium covariance plus a per-time cache of derived matrices.
+    """Equilibrium covariance and every value derived from the model.
 
-    Fields follow the wire contract: ``qinf``, ``qinf_inv``, ``qinf_logdet``
-    are the equilibrium covariance, its inverse and log-determinant.  The
-    family also memoizes, per time t, everything the kernel and semigroup
-    code keeps asking for (Q_t and friends); the cache is keyed by the float
-    t itself and guarded by a lock so threaded sweeps can share one family.
+    Fields computed once by :func:`cov_qinf`:
+
+    * ``qinf``, ``qinf_inv``, ``qinf_logdet``, ``qinf_chol`` -- the
+      equilibrium covariance, its inverse, log-determinant and Cholesky
+      factor;
+    * ``qinf_opnorm`` -- the spectral norm of ``qinf``;
+    * ``diffusion_chol``, ``diffusion_logdet`` -- the Cholesky factor and
+      log-determinant of the diffusion matrix.
+
+    Two tables memoize what depends on time: :meth:`qt_bundle` keys the
+    per-time :class:`QtBundle` by the float t, and :meth:`profile_stack`
+    keys per-grid stacks by the grid's bytes.  Both are read and written
+    only under the family's lock, so a lookup returns the one stored value.
     """
 
     model: OUModel
@@ -355,35 +347,42 @@ class CovarianceFamily:
     qinf_inv: np.ndarray
     qinf_logdet: float
     qinf_chol: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    qinf_opnorm: float
+    diffusion_chol: np.ndarray
+    diffusion_logdet: float
+    _bundles: dict = field(default_factory=dict, repr=False)
+    _stacks: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def qt_bundle(self, t: float) -> "QtBundle":
         t = float(t)
+        return self._get_or_build(self._bundles, t, lambda: _build_qt_bundle(self, t))
+
+    def profile_stack(self, ts: np.ndarray, build: Callable):
+        """The stack ``build()`` makes for the time grid ``ts``, built once."""
+        return self._get_or_build(self._stacks, ts.tobytes(), build)
+
+    def _get_or_build(self, table: dict, key, build: Callable):
+        # build outside the lock: a profile stack's build looks up bundles
         with self._lock:
-            hit = self._cache.get(t)
+            hit = table.get(key)
         if hit is not None:
             return hit
-        bundle = _build_qt_bundle(self, t)
+        value = build()
         with self._lock:
-            self._cache.setdefault(t, bundle)
-        return bundle
-
-    def mehler_cov(self, t: float):
-        """(Q_t^{-1} - Q_inf^{-1})^{-1} if representable, else None.
-
-        This is the covariance of the recentred Gaussian hidden inside the
-        kernel.  Near equilibrium the difference of inverses collapses to
-        rounding noise and the inverse is meaningless; ``None`` tells the
-        quadrature layer to integrate against the invariant measure instead.
-        """
-        bundle = self.qt_bundle(t)
-        return bundle.mehler_cov
+            return table.setdefault(key, value)
 
 
 @dataclass(frozen=True)
 class QtBundle:
-    """Per-time derived matrices, computed once and reused."""
+    """Per-time derived matrices, computed once and reused.
+
+    ``mehler_cov`` is (Q_t^{-1} - Q_inf^{-1})^{-1}, the covariance of the
+    recentred Gaussian hidden inside the kernel, or None where it is not
+    representable: near equilibrium the difference of inverses collapses to
+    rounding noise, and None tells the quadrature layer to integrate against
+    the invariant measure instead.
+    """
 
     t: float
     qt: np.ndarray
@@ -394,7 +393,6 @@ class QtBundle:
     dt: np.ndarray
     inv_gap: np.ndarray          # Q_t^{-1} - Q_inf^{-1}  (SPD for finite t)
     mehler_cov: "np.ndarray | None"
-    mehler_logdet: float
 
 
 def _build_qt_bundle(family: CovarianceFamily, t: float) -> QtBundle:
@@ -407,17 +405,14 @@ def _build_qt_bundle(family: CovarianceFamily, t: float) -> QtBundle:
     dt = dt_matrix(model, family, t)
     inv_gap = 0.5 * ((qt_inv - family.qinf_inv) + (qt_inv - family.qinf_inv).T)
     mehler_cov = None
-    mehler_logdet = math.nan
     try:
         gap_chol = np.linalg.cholesky(inv_gap)
     except np.linalg.LinAlgError:
         gap_chol = None
     if gap_chol is not None:
         mehler_cov = _chol_inverse(gap_chol)
-        mehler_logdet = -2.0 * float(np.log(np.diag(gap_chol)).sum())
         if not np.isfinite(mehler_cov).all():
             mehler_cov = None
-            mehler_logdet = math.nan
     return QtBundle(
         t=t,
         qt=qt,
@@ -428,7 +423,6 @@ def _build_qt_bundle(family: CovarianceFamily, t: float) -> QtBundle:
         dt=dt,
         inv_gap=inv_gap,
         mehler_cov=mehler_cov,
-        mehler_logdet=mehler_logdet,
     )
 
 
@@ -443,10 +437,15 @@ def _chol_inverse(chol: np.ndarray) -> np.ndarray:
 def cov_qinf(model: OUModel) -> CovarianceFamily:
     """Equilibrium covariance family.
 
-    Solves the continuous Lyapunov equation and verifies the residual
+    Solves the continuous Lyapunov equation drift X + X drift^T =
+    -diffusion (scipy's Schur-based solver) and verifies the residual
     against 1e-10 * ||diffusion||_F before accepting the solution.
     """
-    qinf = _lyapunov_solve(model)
+    try:
+        x = solve_continuous_lyapunov(model.drift, -model.diffusion)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"Lyapunov solve failed: {exc}") from None
+    qinf = 0.5 * (x + x.T)
     residual = model.drift @ qinf + qinf @ model.drift.T + model.diffusion
     res_norm = float(np.linalg.norm(residual))
     gate = _LYAP_RESIDUAL_TOL * max(float(np.linalg.norm(model.diffusion)), 1e-300)
@@ -460,12 +459,16 @@ def cov_qinf(model: OUModel) -> CovarianceFamily:
         raise SolveFailure("equilibrium covariance not positive definite") from None
     qinf_inv = _chol_inverse(chol)
     qinf_logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+    diffusion_chol = np.linalg.cholesky(model.diffusion)
     return CovarianceFamily(
         model=model,
         qinf=qinf,
         qinf_inv=qinf_inv,
         qinf_logdet=qinf_logdet,
         qinf_chol=chol,
+        qinf_opnorm=float(np.linalg.norm(qinf, 2)),
+        diffusion_chol=diffusion_chol,
+        diffusion_logdet=2.0 * float(np.log(np.diag(diffusion_chol)).sum()),
     )
 
 

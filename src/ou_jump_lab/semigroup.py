@@ -34,11 +34,10 @@ from .errors import (
     NonFinite,
     OutOfBox,
     QuadratureNonConvergent,
-    TimeNonPositive,
     TimeOutOfRegime,
     ValidationError,
 )
-from .kernels import _log_kernel_values
+from .kernels import _check_time, _log_kernel_values
 from .model import (
     CovarianceFamily,
     GaussianMeasure,
@@ -143,13 +142,6 @@ def _eval_f(f: Callable, pts: np.ndarray) -> np.ndarray:
     return vals.reshape(pts.shape[0])
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not t > 0.0:
-        raise TimeNonPositive(f"semigroup evaluation needs t > 0, got {t}")
-    return t
-
-
 def _check_point(model: OUModel, x) -> np.ndarray:
     pt = np.asarray(x, dtype=float).reshape(-1)
     if pt.size != model.n:
@@ -221,11 +213,7 @@ def _node_system(
     st = bundle.mehler_cov
     use_recentred = False
     if st is not None:
-        qinf_opnorm = family._cache.get("_qinf_opnorm")
-        if qinf_opnorm is None:
-            qinf_opnorm = float(np.linalg.norm(family.qinf, 2))
-            family._cache["_qinf_opnorm"] = qinf_opnorm
-        use_recentred = float(np.linalg.norm(st, 2)) <= qinf_opnorm
+        use_recentred = float(np.linalg.norm(st, 2)) <= family.qinf_opnorm
     if use_recentred:
         center = bundle.dt @ x
         chol = np.linalg.cholesky(st)

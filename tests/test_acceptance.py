@@ -33,7 +33,7 @@ from ou_jump_lab import (
     run_identity_suite,
     run_weak_type_sweep,
 )
-from ou_jump_lab.harness import build_model
+from ou_jump_lab.harness import _random_curve, build_model
 
 SEED = 20250815
 ROTATING_CFG = ExperimentConfig(
@@ -164,20 +164,11 @@ def test_criterion_3_telescoping():
 # 4. functional cross-checks and hand examples
 # ---------------------------------------------------------------------------
 
-def _random_curve(rng, max_len=50):
-    n = int(rng.integers(2, max_len))
-    times = np.cumsum(rng.uniform(0.01, 1.0, n))
-    values = rng.normal(0.0, 1.0, n)
-    if rng.uniform() < 0.3:
-        values = np.round(values * 2.0) / 2.0
-    return SampledCurve(times, values)
-
-
 def test_criterion_4_functional_correctness():
     rng = np.random.default_rng(SEED + 4)
     mismatches = 0
     for _ in range(1000):
-        c = _random_curve(rng)
+        c = _random_curve(rng, max_len=50)
         lam = float(rng.uniform(0.05, 2.0))
         if jump_count(c, lam) != jump_count_dp(c, lam):
             mismatches += 1

@@ -112,6 +112,17 @@ def test_certify_empty_region_is_exit_1(capsys, tmp_path):
     assert "error" in err
 
 
+def test_certify_bad_cell_center_leaves_no_artifacts(capsys, tmp_path):
+    outdir = tmp_path / "runs"
+    code, _, err = _run(
+        capsys, "certify", "--preset", "standard", "--cell-center", "abc",
+        "--outdir", str(outdir),
+    )
+    assert code == 1
+    assert "--cell-center" in err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_functionals_subcommand(capsys, tmp_path):
     curves_path = tmp_path / "curves.csv"
     zigzag = SampledCurve(

@@ -115,9 +115,8 @@ def test_smooth_atom_has_unit_invariant_mass():
     the bump entirely."""
     family = cov_qinf(build_model(ExperimentConfig()))
     gamma = invariant_measure(family)
-    quad = QuadratureSpec()
     for center, width in ((0.0, 0.5), (3.9, 0.1)):
-        atom = _smooth_atom(family, np.array([center]), width, quad)
+        atom = _smooth_atom(family, np.array([center]), width)
         mass, err = integrate.quad(
             lambda u: float(atom(np.array([[u]]))[0])
             * math.exp(float(gamma.logpdf(np.array([[u]]))[0])),

@@ -1,9 +1,11 @@
 """Model layer: presets, covariance family, flows, Gaussian measures.
 
 Every derived quantity is checked against an independent oracle: matrix
-exponentials against scipy.linalg.expm, the stationary covariance against the
-scipy Lyapunov solver, the finite-time covariance against direct quadrature
-of its defining integral, and the closed forms available for both presets.
+exponentials against scipy.linalg.expm, the stationary covariance against a
+Kronecker-form Lyapunov solve and its residual, the finite-time covariance
+against direct quadrature of its defining integral and against
+Q_inf - e^{tB} Q_inf e^{tB}^T, and the closed forms available for both
+presets.
 """
 
 import math
@@ -190,6 +192,32 @@ def test_cov_qt_time_domain():
         cov_qt(model, -1.0)
 
 
+def _three_models():
+    """Both presets and the non-normal random model of the kernel tests."""
+    rng = np.random.default_rng(SEED)
+    q = _random_spd(rng, 2)
+    return [preset_standard(), preset_rotating2d(),
+            validate_model(q, _random_hurwitz(rng, 2))]
+
+
+def test_cov_qt_matches_lyapunov_difference():
+    """Q_t = Q_inf - e^{tB} Q_inf e^{tB}^T out to t = 10.
+
+    This pins why ``matrix_exp`` is the in-house Pade rule: with
+    ``scipy.linalg.expm`` on the block matrix, the random model's Q_t is off
+    by 4.2e-5 at t = 10 and fails the symmetry gate; the Pade rule's worst
+    case here is 5.3e-13.
+    """
+    for model in _three_models():
+        qinf = scipy.linalg.solve_continuous_lyapunov(model.drift, -model.diffusion)
+        qinf = 0.5 * (qinf + qinf.T)
+        for t in (0.5, 1.0, 3.0, 10.0):
+            etb = scipy.linalg.expm(t * model.drift)
+            ref = qinf - etb @ qinf @ etb.T
+            err = np.abs(cov_qt(model, t) - ref).max() / np.abs(ref).max()
+            assert err <= 1e-10, (model.n, t, err)
+
+
 # ---------------------------------------------------------------------------
 # stationary covariance and the family
 # ---------------------------------------------------------------------------
@@ -201,8 +229,11 @@ def test_cov_qinf_lyapunov_oracle():
         q = _random_spd(rng, n)
         model = validate_model(q, b)
         family = cov_qinf(model)
-        ref = scipy.linalg.solve_continuous_lyapunov(b, -q)
-        assert np.allclose(family.qinf, ref, atol=1e-10)
+        # independent of the Schur-based solver cov_qinf uses: the vectorized
+        # Kronecker system (B (+) B) vec(X) = -vec(Q)
+        eye = np.eye(n)
+        ref = np.linalg.solve(np.kron(b, eye) + np.kron(eye, b), -q.reshape(-1))
+        assert np.allclose(family.qinf, ref.reshape(n, n), atol=1e-10)
         resid = b @ family.qinf + family.qinf @ b.T + q
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(q)
 
@@ -226,6 +257,20 @@ def test_qt_qinf_flow_identity():
             lhs = family.qinf - cov_qt(model, t)
             rhs = etb @ family.qinf @ etb.T
             assert np.allclose(lhs, rhs, atol=1e-12), (model.n, t)
+
+
+def test_family_fields_match_their_definitions():
+    for model in _three_models():
+        family = cov_qinf(model)
+        chol = np.linalg.cholesky(model.diffusion)
+        assert np.array_equal(family.diffusion_chol, chol)
+        assert family.diffusion_logdet == pytest.approx(
+            np.linalg.slogdet(model.diffusion)[1], rel=1e-14, abs=1e-14
+        )
+        assert family.qinf_opnorm == np.linalg.norm(family.qinf, 2)
+        bundle = family.qt_bundle(0.37)
+        assert family.qt_bundle(np.float64(0.37)) is bundle
+        assert family.qt_bundle(0.38) is not bundle
 
 
 def test_qt_bundle_consistency():
