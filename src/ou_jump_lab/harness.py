@@ -70,8 +70,8 @@ from .semigroup import (
     LocalizationScheme,
     QuadratureSpec,
     _bump_profile,
+    _eval_f,
     _node_system,
-    apply_global,
     apply_semigroup_kernel,
     apply_semigroup_kolmogorov,
     build_localization,
@@ -610,61 +610,71 @@ class RegimeReport:
         return [rows_path, summary_path]
 
 
-def _cell_ops_at(
-    model: OUModel,
-    family: CovarianceFamily,
-    scheme: LocalizationScheme,
-    j: int,
-    t: float,
-    f: Callable,
-    x: np.ndarray,
-    quad: QuadratureSpec,
-) -> dict:
-    """All cell-local operator values at one (t, x) on one node system.
+def _rows_dot(rt, weights: np.ndarray, vals: np.ndarray) -> list:
+    """``rt[i] * (weights @ vals[i])`` per row, as one 1-D dot per point:
+    the single-point operators' reduction, so the values match theirs."""
+    return [r * float(weights @ v) for r, v in zip(rt, vals)]
 
-    Semantically identical to calling delta_op (kappa = 1, 2, 3), main_op
-    and the local semigroup term separately, but the node system and the
-    four kernel evaluations are shared, which is what makes field sweeps
-    affordable.  The identity suite cross-checks this against the public
-    operators.
-    """
-    rt = scheme.rt_at(j, x)
-    nodes, weights, adj = _node_system(model, family, t, x, quad)
-    xb = np.broadcast_to(x, nodes.shape)
-    logs = [
-        _log_kernel_values(model, family, kappa, t, xb, nodes) + adj
-        for kappa in (0, 1, 2, 3)
-    ]
-    g = np.asarray(f(nodes), dtype=float).reshape(nodes.shape[0])
-    g = g * scheme.r_j(j, nodes)
-    out = {}
-    for kappa in (1, 2, 3):
-        diff = -np.exp(logs[kappa - 1]) * np.expm1(logs[kappa] - logs[kappa - 1])
-        out[f"delta{kappa}"] = rt * float(weights @ (diff * g))
-    out["main"] = rt * float(weights @ (np.exp(logs[3]) * g))
-    out["h_local"] = rt * float(weights @ (np.exp(logs[0]) * g))
-    return out
+
+def _batch_nodes(model, family, t, xs, quad) -> tuple:
+    """Node system for every row of xs, flattened for the batched callees:
+    returns ``(nodes, xb, weights, adj)`` with nodes and xb of shape
+    (m k, n), where xb repeats each point once per node."""
+    nodes, weights, adj = _node_system(model, family, t, xs, quad)
+    m, k, n = nodes.shape
+    return nodes.reshape(m * k, n), np.repeat(xs, k, axis=0), weights, adj
 
 
 def _cell_field(model, family, scheme, j, f, xs, ts, quad) -> dict:
-    """Operator fields over (xs, ts) for one cell; keys as in _cell_ops_at."""
+    """Cell-local operator fields over (xs, ts): delta1..3, main and h_local.
+
+    Per point the values are those of delta_op (kappa = 1, 2, 3), main_op
+    and the plateau times the kernel route applied to f r_j (``h_local``),
+    bit for bit in one dimension.  Per time one node system, one kernel
+    evaluation per kappa and one f and r_j evaluation serve every point,
+    which is what makes field sweeps affordable.  The identity suite
+    cross-checks this against the public operators.
+    """
+    rt = scheme.rt_j(j, xs).tolist()
     keys = ("delta1", "delta2", "delta3", "main", "h_local")
-    out = {k: np.empty((xs.shape[0], ts.size)) for k in keys}
+    out = {key: np.empty((xs.shape[0], ts.size)) for key in keys}
     for ti, t in enumerate(ts):
-        for xi in range(xs.shape[0]):
-            vals = _cell_ops_at(model, family, scheme, j, float(t), f, xs[xi], quad)
-            for k in keys:
-                out[k][xi, ti] = vals[k]
+        t = float(t)
+        nodes, xb, weights, adj = _batch_nodes(model, family, t, xs, quad)
+        logs = [
+            _log_kernel_values(model, family, kappa, t, xb, nodes).reshape(adj.shape)
+            + adj
+            for kappa in (0, 1, 2, 3)
+        ]
+        g = (_eval_f(f, nodes) * scheme.r_j(j, nodes)).reshape(adj.shape)
+        for kappa in (1, 2, 3):
+            diff = -np.exp(logs[kappa - 1]) * np.expm1(logs[kappa] - logs[kappa - 1])
+            out[f"delta{kappa}"][:, ti] = _rows_dot(rt, weights, diff * g)
+        out["main"][:, ti] = _rows_dot(rt, weights, np.exp(logs[3]) * g)
+        out["h_local"][:, ti] = _rows_dot(rt, weights, np.exp(logs[0]) * g)
     return out
 
 
 def _global_field(model, family, scheme, f, xs, ts, quad) -> np.ndarray:
+    """The global remainder (apply_global) over (xs, ts).
+
+    Per point the values equal apply_global's, bit for bit in one dimension;
+    per time one node system, kernel evaluation, f and r_weights evaluation
+    serve every point, and each point's plateaus are computed once.
+    """
+    plateaus = [scheme.rt_all(x) for x in xs]
+    live = [np.nonzero(rt > 0.0)[0] for rt in plateaus]
     out = np.empty((xs.shape[0], ts.size))
     for ti, t in enumerate(ts):
-        for xi in range(xs.shape[0]):
-            out[xi, ti] = apply_global(
-                model, family, scheme, float(t), f, xs[xi], quad
-            )
+        t = float(t)
+        nodes, xb, weights, adj = _batch_nodes(model, family, t, xs, quad)
+        a0 = _log_kernel_values(model, family, 0, t, xb, nodes).reshape(adj.shape) + adj
+        core = np.exp(a0) * _eval_f(f, nodes).reshape(adj.shape)
+        r_all = scheme.r_weights(nodes).reshape(adj.shape + (-1,))
+        for i, (rt, cells) in enumerate(zip(plateaus, live)):
+            # eta(x_i, .) at the nodes, summed as _eta_unchecked sums it
+            eta_i = r_all[i][:, cells] @ rt[cells] if cells.size else 0.0
+            out[i, ti] = float(weights @ (core[i] * (1.0 - eta_i)))
     return out
 
 
@@ -1129,6 +1139,10 @@ def run_identity_suite(
         quad_ad = QuadratureSpec(
             scheme="adaptive", order=quad.order, domain_cutoff=quad.domain_cutoff
         )
+
+        def fr(pts):
+            return atom(pts) * scheme.r_j(j, pts)
+
         for frac in (0.2, 0.6, 1.0):
             t = cap * frac
             x = center + 0.25 * rho_j
@@ -1141,8 +1155,6 @@ def run_identity_suite(
                 k1_leg = delta_op(model, family, scheme, 1, j, t, atom, x, quad)
                 deltas[0] = k1_leg * (1.0 + eps)
             mn = main_op(model, family, scheme, j, t, atom, x, quad)
-            def fr(pts):
-                return atom(pts) * scheme.r_j(j, pts)
             href = scheme.rt_at(j, x) * apply_semigroup_kernel(
                 model, family, t, fr, x, quad
             )
@@ -1153,12 +1165,28 @@ def run_identity_suite(
             mc = main_op_convolution(model, family, scheme, j, t, atom, x, quad_ad)
             mh = main_op(model, family, scheme, j, t, atom, x, quad_ad)
             worst_conv = max(worst_conv, abs(mh - mc) / max(abs(mh), 1e-300))
-            ops = _cell_ops_at(model, family, scheme, j, t, atom, x, quad)
-            for kappa in (1, 2, 3):
-                ref = delta_op(model, family, scheme, kappa, j, t, atom, x, quad)
-                worst_fast = max(
-                    worst_fast, abs(ops[f"delta{kappa}"] - ref) / max(abs(ref), 1e-300)
+        # batched fields against the single-point operators; the second point
+        # sits where the plateau is strictly between 0 and 1
+        xs_fast = np.array([center + 0.25 * rho_j, center + 5.5 * rho_j])
+        ts_fast = np.array([cap * frac for frac in (0.2, 0.6, 1.0)])
+        fields = _cell_field(model, family, scheme, j, atom, xs_fast, ts_fast, quad)
+        for xi, x in enumerate(xs_fast):
+            for ti, t in enumerate(ts_fast.tolist()):
+                refs = {
+                    f"delta{kappa}": delta_op(
+                        model, family, scheme, kappa, j, t, atom, x, quad
+                    )
+                    for kappa in (1, 2, 3)
+                }
+                refs["main"] = main_op(model, family, scheme, j, t, atom, x, quad)
+                refs["h_local"] = scheme.rt_at(j, x) * apply_semigroup_kernel(
+                    model, family, t, fr, x, quad
                 )
+                for key, ref in refs.items():
+                    worst_fast = max(
+                        worst_fast,
+                        abs(fields[key][xi, ti] - ref) / max(abs(ref), 1e-300),
+                    )
         add("operator_telescoping", worst_tel, 1e-8,
             detail="(perturbed)" if eps else "")
         add("main_op_convolution_form", worst_conv, 1e-8)

@@ -194,37 +194,44 @@ def _node_system(
     model: OUModel,
     family: CovarianceFamily,
     t: float,
-    x: np.ndarray,
+    xs: np.ndarray,
     quad: QuadratureSpec,
 ) -> tuple:
-    """Shared quadrature system for all kernel-side operators.
+    """Shared quadrature system for all kernel-side operators, per batch of points.
 
-    Returns ``(nodes, weights, adj)`` where ``adj`` is the log ratio of the
-    invariant density to the node density at each node.  With those three
-    arrays, the integral of ``kernel * f`` against the invariant measure is
-    ``sum(weights * exp(log_kernel + adj) * f(nodes))``.
+    ``xs`` has shape (m, n).  Returns ``(nodes, weights, adj)`` with shapes
+    (m, k, n), (k,) and (m, k): ``adj[i]`` is the log ratio of the invariant
+    density to point i's node density at its nodes.  With those arrays, the
+    integral of ``kernel(xs[i], .) * f`` against the invariant measure is
+    ``sum(weights * exp(log_kernel + adj[i]) * f(nodes[i]))``.
 
     Branch rule: if the recentred Gaussian hidden in the kernel has operator
     norm at most that of the equilibrium covariance, its nodes concentrate
     where the mass is and we use them; otherwise (late times) the invariant
     rule is better conditioned, and ``adj`` is exactly zero.
+
+    The branch test, the node covariance's factors and the offset table
+    depend on t alone and are built once per call; each point's nodes are its
+    centre plus that table.  A row's values do not depend on the other rows,
+    so the single-point operators call this with one row.
     """
     bundle = family.qt_bundle(t)
     st = bundle.mehler_cov
-    use_recentred = False
-    if st is not None:
-        use_recentred = float(np.linalg.norm(st, 2)) <= family.qinf_opnorm
-    if use_recentred:
-        center = bundle.dt @ x
-        chol = np.linalg.cholesky(st)
-        nodes, weights = _gaussian_nodes(center, chol, quad)
-        gamma = invariant_measure(family)
-        node_measure = GaussianMeasure(center, st)
-        adj = gamma.logpdf(nodes) - node_measure.logpdf(nodes)
-    else:
-        nodes, weights = _gaussian_nodes(np.zeros(model.n), family.qinf_chol, quad)
-        adj = np.zeros(nodes.shape[0])
-    return nodes, weights, adj
+    m, n = xs.shape
+    if st is None or float(np.linalg.norm(st, 2)) > family.qinf_opnorm:
+        table, weights = _gaussian_nodes(np.zeros(n), family.qinf_chol, quad)
+        nodes = np.broadcast_to(table, (m,) + table.shape)
+        return nodes, weights, np.zeros(nodes.shape[:2])
+    offsets, weights = _gh_tensor_rule(quad.order, n, quad.domain_cutoff)
+    # stacked mat-vecs keep each centre bit-for-bit equal to bundle.dt @ x;
+    # one (m, n) @ (n, n) product rounds differently for n > 1
+    centers = (bundle.dt @ xs[:, :, None])[:, :, 0]
+    nodes = centers[:, None, :] + (offsets @ np.linalg.cholesky(st).T)[None, :, :]
+    gamma = invariant_measure(family)
+    node_measure = GaussianMeasure(np.zeros(n), st)
+    shifted = (nodes - centers[:, None, :]).reshape(-1, n)
+    adj = gamma.logpdf(nodes.reshape(-1, n)) - node_measure.logpdf(shifted)
+    return nodes, weights, adj.reshape(m, -1)
 
 
 def apply_semigroup_kernel(
@@ -246,7 +253,8 @@ def apply_semigroup_kernel(
             return np.exp(logk + gamma.logpdf(pts)) * _eval_f(f, pts)
 
         return _adaptive_integral(model, integrand)
-    nodes, weights, adj = _node_system(model, family, t, x, quad)
+    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
+    nodes, adj = nodes[0], adj[0]
     logk = _log_kernel_values(
         model, family, 0, t, np.broadcast_to(x, nodes.shape), nodes
     )
@@ -394,6 +402,16 @@ class LocalizationScheme:
 
     def rt_at(self, j: int, x) -> float:
         return float(self.rt_j(j, np.atleast_2d(np.asarray(x, dtype=float)))[0])
+
+    def rt_all(self, x) -> np.ndarray:
+        """Plateau cutoff of every cell at one point x; shape (k,).
+
+        Entry j equals ``rt_at(j, x)``: the same expression, over all cells.
+        """
+        x = np.asarray(x, dtype=float).reshape(self.dim)
+        dist = np.linalg.norm(x[None, :] - self.centers, axis=1)
+        s = dist / (6.0 * self.radii)
+        return np.minimum(1.0, _bump_profile(s) / _PLATEAU_REF)
 
     def cell_time_cap(self, j: int) -> float:
         """Upper end of the short-time regime tied to cell j."""
@@ -544,9 +562,7 @@ def _eta_unchecked(
     scheme: LocalizationScheme, x: np.ndarray, us: np.ndarray
 ) -> np.ndarray:
     """eta with no box validation (quadrature tails reach past the box)."""
-    rt = np.array(
-        [scheme.rt_at(j, x) for j in range(scheme.n_cells)]
-    )
+    rt = scheme.rt_all(x)
     live = np.nonzero(rt > 0.0)[0]
     if live.size == 0:
         return np.zeros(us.shape[0])
@@ -609,7 +625,8 @@ def delta_op(
             return out
 
         return rt * _adaptive_integral(model, integrand)
-    nodes, weights, adj = _node_system(model, family, t, x, quad)
+    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
+    nodes, adj = nodes[0], adj[0]
     xb = np.broadcast_to(x, nodes.shape)
     a_prev = _log_kernel_values(model, family, kappa - 1, t, xb, nodes) + adj
     a_cur = _log_kernel_values(model, family, kappa, t, xb, nodes) + adj
@@ -643,7 +660,8 @@ def main_op(
             return np.exp(a3 + gamma.logpdf(pts)) * g
 
         return rt * _adaptive_integral(model, integrand)
-    nodes, weights, adj = _node_system(model, family, t, x, quad)
+    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
+    nodes, adj = nodes[0], adj[0]
     xb = np.broadcast_to(x, nodes.shape)
     a3 = _log_kernel_values(model, family, 3, t, xb, nodes) + adj
     g = _eval_f(f, nodes) * scheme.r_j(j, nodes)
@@ -714,7 +732,8 @@ def apply_local(
         raise ValidationError(f"unknown route {route!r}")
     t = _check_time(t)
     x = _check_point(model, x)
-    nodes, weights, adj = _node_system(model, family, t, x, quad)
+    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
+    nodes, adj = nodes[0], adj[0]
     xb = np.broadcast_to(x, nodes.shape)
     a0 = _log_kernel_values(model, family, 0, t, xb, nodes) + adj
     fvals = _eval_f(f, nodes)
@@ -722,7 +741,7 @@ def apply_local(
     if route in ("eta", "both"):
         eta_val = float(weights @ (np.exp(a0) * fvals * _eta_unchecked(scheme, x, nodes)))
     if route in ("sum", "both"):
-        rt = np.array([scheme.rt_at(j, x) for j in range(scheme.n_cells)])
+        rt = scheme.rt_all(x)
         live = np.nonzero(rt > 0.0)[0]
         total = 0.0
         if live.size:
@@ -755,7 +774,8 @@ def apply_global(
     """Global remainder: whole semigroup minus the local part, on shared nodes."""
     t = _check_time(t)
     x = _check_point(model, x)
-    nodes, weights, adj = _node_system(model, family, t, x, quad)
+    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
+    nodes, adj = nodes[0], adj[0]
     xb = np.broadcast_to(x, nodes.shape)
     a0 = _log_kernel_values(model, family, 0, t, xb, nodes) + adj
     fvals = _eval_f(f, nodes)

@@ -20,14 +20,18 @@ from ou_jump_lab import (
     QuadratureSpec,
     SampledCurve,
     ValidationError,
+    apply_global,
     apply_semigroup_kernel,
+    build_localization,
     config_hash,
     cov_qinf,
+    delta_op,
     indicator_atom,
     invariant_measure,
     jump_count,
     jump_count_dp,
     lambda_grid,
+    main_op,
     mixing_time,
     monomial,
     run_identity_suite,
@@ -36,7 +40,9 @@ from ou_jump_lab import (
 )
 from ou_jump_lab.harness import (
     WeakTypeRow,
+    _cell_field,
     _exact_field,
+    _global_field,
     _invariant_window_weights_1d,
     _row_lambda_grid,
     _smooth_atom,
@@ -264,6 +270,56 @@ def test_sweep_reports_are_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     header = (out_a / "rows.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == WeakTypeRow.CSV_HEADER
+
+
+# ---------------------------------------------------------------------------
+# batched fields
+# ---------------------------------------------------------------------------
+
+def test_batched_fields_match_single_point_operators():
+    """One node system per time serves every point, and each point still gets
+    exactly the single-point operators' value.  The times cover both node
+    branches on ``standard`` (recentred up to ~0.32, invariant at 1)."""
+    model = build_model(ExperimentConfig())
+    family = cov_qinf(model)
+    quad = QuadratureSpec()
+    scheme = build_localization(model, family, [(-4.0, 4.0)])
+    far = int(np.argmax(np.abs(scheme.centers[:, 0])))
+    c_far, r_far = float(scheme.centers[far, 0]), float(scheme.radii[far])
+    dead = 4.0 + 6.0 * float(scheme.radii.max()) + 1.0
+    assert not scheme.rt_all([dead]).any()
+    xs = np.array([[0.3], [c_far - 0.1 * r_far], [dead]])
+    ts = np.array([1e-3, 0.1, 1.0])
+    f = _smooth_atom(family, np.array([0.5]), 5.0)
+
+    glob = _global_field(model, family, scheme, f, xs, ts, quad)
+    want = np.array([[apply_global(model, family, scheme, float(t), f, x, quad)
+                      for t in ts] for x in xs])
+    assert np.array_equal(glob, want)
+    assert np.all(glob[:2, 1:] != 0.0)
+
+    for j in (0, far):
+        ts_j = np.minimum(ts, scheme.cell_time_cap(j))
+        fields = _cell_field(model, family, scheme, j, f, xs, ts_j, quad)
+
+        def fr(pts, j=j):
+            return f(pts) * scheme.r_j(j, pts)
+
+        for xi, x in enumerate(xs):
+            for ti, t in enumerate(ts_j.tolist()):
+                for kappa in (1, 2, 3):
+                    ref = delta_op(model, family, scheme, kappa, j, t, f, x, quad)
+                    assert fields[f"delta{kappa}"][xi, ti] == ref, (j, x, t, kappa)
+                ref = main_op(model, family, scheme, j, t, f, x, quad)
+                assert fields["main"][xi, ti] == ref, (j, x, t)
+                ref = scheme.rt_at(j, x) * apply_semigroup_kernel(
+                    model, family, t, fr, x, quad
+                )
+                got = fields["h_local"][xi, ti]
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (j, x, t)
+        live = 0 if j == 0 else 1
+        for key, vals in fields.items():
+            assert np.all(vals[live] != 0.0), (j, key)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from ou_jump_lab import (
     preset_rotating2d,
     preset_standard,
 )
+from ou_jump_lab.semigroup import _node_system
 
 GAUSS = QuadratureSpec()
 ADAPTIVE = QuadratureSpec(scheme="adaptive")
@@ -261,6 +262,44 @@ def test_plateau_shape(scheme_1d):
     mid = scheme_1d.rt_j(0, np.array([[5.5 * r]]))[0]
     assert 0.0 < mid < 1.0
     assert scheme_1d.rt_j(0, np.array([[6.0 * r]]))[0] == 0.0
+
+
+def test_rt_all_matches_rt_at(scheme_1d, scheme_2d):
+    """The vectorised plateau row equals the per-cell scalar, bit for bit,
+    on the box edges, inside the box and beyond every cell's 6x support."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    for scheme in (scheme_1d, scheme_2d):
+        lo, hi = scheme.box[:, 0], scheme.box[:, 1]
+        reach = 6.0 * float(scheme.radii.max()) + 1.0
+        edges = np.array([[a if bit else b for a, b, bit in zip(lo, hi, bits)]
+                          for bits in np.ndindex(*(2,) * scheme.dim)])
+        far = np.array([lo - reach, hi + reach])
+        inside = rng.uniform(lo, hi, (600, scheme.dim))
+        for x in np.concatenate([edges, far, inside]):
+            want = np.array([scheme.rt_at(j, x) for j in range(scheme.n_cells)])
+            assert np.array_equal(scheme.rt_all(x), want), x
+            checked += 1
+        for x in far:
+            assert not scheme.rt_all(x).any()
+        assert scheme.rt_all(edges[0]).any()
+    assert checked >= 1000
+
+
+def test_node_system_rows_match_single_rows_2d():
+    """A multi-row call gives each row what a one-row call gives it, on both
+    branches (recentred up to t ~ 0.32, invariant beyond)."""
+    model, family = _rotating()
+    xs = np.random.default_rng(8).uniform(-2.0, 2.0, (5, 2))
+    for t, recentred in ((1e-3, True), (0.1, True), (1.0, False), (5.0, False)):
+        nodes, weights, adj = _node_system(model, family, t, xs, GAUSS)
+        assert nodes.shape[:2] == adj.shape == (5, weights.size)
+        assert bool(np.any(adj != 0.0)) == recentred
+        for i, x in enumerate(xs):
+            one = _node_system(model, family, t, x[None, :], GAUSS)
+            assert np.array_equal(one[0][0], nodes[i])
+            assert np.array_equal(one[1], weights)
+            assert np.array_equal(one[2][0], adj[i])
 
 
 def test_eta_diagonal_and_range(scheme_1d):
