@@ -50,7 +50,6 @@ from .functionals import (
     weak_quasinorm,
 )
 from .kernels import (
-    _log_kernel_values,
     kernel_difference,
     ktilde,
     mehler_kernel,
@@ -70,8 +69,9 @@ from .semigroup import (
     LocalizationScheme,
     QuadratureSpec,
     _bump_profile,
-    _eval_f,
-    _node_system,
+    _cell_terms,
+    _global_rows,
+    _kernel_gap,
     apply_semigroup_kernel,
     apply_semigroup_kolmogorov,
     build_localization,
@@ -616,65 +616,39 @@ def _rows_dot(rt, weights: np.ndarray, vals: np.ndarray) -> list:
     return [r * float(weights @ v) for r, v in zip(rt, vals)]
 
 
-def _batch_nodes(model, family, t, xs, quad) -> tuple:
-    """Node system for every row of xs, flattened for the batched callees:
-    returns ``(nodes, xb, weights, adj)`` with nodes and xb of shape
-    (m k, n), where xb repeats each point once per node."""
-    nodes, weights, adj = _node_system(model, family, t, xs, quad)
-    m, k, n = nodes.shape
-    return nodes.reshape(m * k, n), np.repeat(xs, k, axis=0), weights, adj
-
-
 def _cell_field(model, family, scheme, j, f, xs, ts, quad) -> dict:
     """Cell-local operator fields over (xs, ts): delta1..3, main and h_local.
 
     Per point the values are those of delta_op (kappa = 1, 2, 3), main_op
     and the plateau times the kernel route applied to f r_j (``h_local``),
-    bit for bit in one dimension.  Per time one node system, one kernel
+    with the same per-point arithmetic.  Per time one node system, one kernel
     evaluation per kappa and one f and r_j evaluation serve every point,
     which is what makes field sweeps affordable.  The identity suite
     cross-checks this against the public operators.
     """
+    m = xs.shape[0]
     rt = scheme.rt_j(j, xs).tolist()
     keys = ("delta1", "delta2", "delta3", "main", "h_local")
-    out = {key: np.empty((xs.shape[0], ts.size)) for key in keys}
+    out = {key: np.empty((m, ts.size)) for key in keys}
     for ti, t in enumerate(ts):
-        t = float(t)
-        nodes, xb, weights, adj = _batch_nodes(model, family, t, xs, quad)
-        logs = [
-            _log_kernel_values(model, family, kappa, t, xb, nodes).reshape(adj.shape)
-            + adj
-            for kappa in (0, 1, 2, 3)
-        ]
-        g = (_eval_f(f, nodes) * scheme.r_j(j, nodes)).reshape(adj.shape)
+        weights, logs, g = _cell_terms(
+            model, family, scheme, j, float(t), f, xs, (0, 1, 2, 3), quad
+        )
         for kappa in (1, 2, 3):
-            diff = -np.exp(logs[kappa - 1]) * np.expm1(logs[kappa] - logs[kappa - 1])
-            out[f"delta{kappa}"][:, ti] = _rows_dot(rt, weights, diff * g)
+            gap = _kernel_gap(logs[kappa - 1], logs[kappa])
+            out[f"delta{kappa}"][:, ti] = _rows_dot(rt, weights, gap * g)
         out["main"][:, ti] = _rows_dot(rt, weights, np.exp(logs[3]) * g)
         out["h_local"][:, ti] = _rows_dot(rt, weights, np.exp(logs[0]) * g)
     return out
 
 
 def _global_field(model, family, scheme, f, xs, ts, quad) -> np.ndarray:
-    """The global remainder (apply_global) over (xs, ts).
-
-    Per point the values equal apply_global's, bit for bit in one dimension;
-    per time one node system, kernel evaluation, f and r_weights evaluation
-    serve every point, and each point's plateaus are computed once.
-    """
-    plateaus = [scheme.rt_all(x) for x in xs]
-    live = [np.nonzero(rt > 0.0)[0] for rt in plateaus]
+    """The global remainder (apply_global) over (xs, ts), one time at a time;
+    each point's plateaus are computed once."""
+    plateaus = scheme.rt_all(xs)
     out = np.empty((xs.shape[0], ts.size))
     for ti, t in enumerate(ts):
-        t = float(t)
-        nodes, xb, weights, adj = _batch_nodes(model, family, t, xs, quad)
-        a0 = _log_kernel_values(model, family, 0, t, xb, nodes).reshape(adj.shape) + adj
-        core = np.exp(a0) * _eval_f(f, nodes).reshape(adj.shape)
-        r_all = scheme.r_weights(nodes).reshape(adj.shape + (-1,))
-        for i, (rt, cells) in enumerate(zip(plateaus, live)):
-            # eta(x_i, .) at the nodes, summed as _eta_unchecked sums it
-            eta_i = r_all[i][:, cells] @ rt[cells] if cells.size else 0.0
-            out[i, ti] = float(weights @ (core[i] * (1.0 - eta_i)))
+        out[:, ti] = _global_rows(model, family, scheme, float(t), f, xs, plateaus, quad)
     return out
 
 

@@ -213,7 +213,8 @@ def _node_system(
     The branch test, the node covariance's factors and the offset table
     depend on t alone and are built once per call; each point's nodes are its
     centre plus that table.  A row's values do not depend on the other rows,
-    so the single-point operators call this with one row.
+    so the single-point operators call this with one row (through
+    ``_batch_nodes``).
     """
     bundle = family.qt_bundle(t)
     st = bundle.mehler_cov
@@ -232,6 +233,15 @@ def _node_system(
     shifted = (nodes - centers[:, None, :]).reshape(-1, n)
     adj = gamma.logpdf(nodes.reshape(-1, n)) - node_measure.logpdf(shifted)
     return nodes, weights, adj.reshape(m, -1)
+
+
+def _batch_nodes(model, family, t, xs, quad) -> tuple:
+    """``_node_system`` flattened for the batched callees: returns
+    ``(nodes, xb, weights, adj)`` with nodes and xb of shape (m k, n) and adj
+    of shape (m k,), where xb repeats each point once per node."""
+    nodes, weights, adj = _node_system(model, family, t, xs, quad)
+    m, k, n = nodes.shape
+    return nodes.reshape(m * k, n), np.repeat(xs, k, axis=0), weights, adj.ravel()
 
 
 def apply_semigroup_kernel(
@@ -253,11 +263,8 @@ def apply_semigroup_kernel(
             return np.exp(logk + gamma.logpdf(pts)) * _eval_f(f, pts)
 
         return _adaptive_integral(model, integrand)
-    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
-    nodes, adj = nodes[0], adj[0]
-    logk = _log_kernel_values(
-        model, family, 0, t, np.broadcast_to(x, nodes.shape), nodes
-    )
+    nodes, xb, weights, adj = _batch_nodes(model, family, t, x[None, :], quad)
+    logk = _log_kernel_values(model, family, 0, t, xb, nodes)
     vals = np.exp(logk + adj) * _eval_f(f, nodes)
     out = float(weights @ vals)
     if not math.isfinite(out):
@@ -368,14 +375,14 @@ class LocalizationScheme:
     # -- partition machinery ------------------------------------------------
 
     def _phi_all(self, pts: np.ndarray) -> np.ndarray:
-        """Unnormalized bump of every cell at every point; shape (k, m)."""
+        """Unnormalized bump of every cell at every point; shape (m, k)."""
         pts = np.atleast_2d(pts)
         dist = np.linalg.norm(pts[:, None, :] - self.centers[None, :, :], axis=2)
         s = dist / (4.0 * self.radii[None, :])
         return _bump_profile(s)
 
     def r_weights(self, pts) -> np.ndarray:
-        """All partition values r_j at the given points; shape (k, m).
+        """All partition values r_j at the given points; shape (m, k).
 
         Rows sum to 1 wherever at least one bump is alive (in particular on
         the interior margin); the sum-guard returns all-zero rows where the
@@ -392,26 +399,21 @@ class LocalizationScheme:
         """Partition member j (support: 4x ball j)."""
         return self.r_weights(pts)[:, int(j)]
 
+    def rt_all(self, pts) -> np.ndarray:
+        """Plateau cutoffs of every cell at the given points; shape (m, k).
+
+        Cell j's cutoff is 1 through 5x its ball and 0 beyond 6x.
+        """
+        pts = np.atleast_2d(pts)
+        dist = np.linalg.norm(pts[:, None, :] - self.centers[None, :, :], axis=2)
+        return np.minimum(1.0, _bump_profile(dist / (6.0 * self.radii)) / _PLATEAU_REF)
+
     def rt_j(self, j: int, pts) -> np.ndarray:
         """Plateau cutoff of cell j: 1 through 5x the ball, 0 beyond 6x."""
-        j = int(j)
-        pts = np.atleast_2d(pts)
-        dist = np.linalg.norm(pts - self.centers[j][None, :], axis=1)
-        s = dist / (6.0 * self.radii[j])
-        return np.minimum(1.0, _bump_profile(s) / _PLATEAU_REF)
+        return self.rt_all(pts)[:, int(j)]
 
     def rt_at(self, j: int, x) -> float:
         return float(self.rt_j(j, np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-    def rt_all(self, x) -> np.ndarray:
-        """Plateau cutoff of every cell at one point x; shape (k,).
-
-        Entry j equals ``rt_at(j, x)``: the same expression, over all cells.
-        """
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        dist = np.linalg.norm(x[None, :] - self.centers, axis=1)
-        s = dist / (6.0 * self.radii)
-        return np.minimum(1.0, _bump_profile(s) / _PLATEAU_REF)
 
     def cell_time_cap(self, j: int) -> float:
         """Upper end of the short-time regime tied to cell j."""
@@ -562,11 +564,13 @@ def _eta_unchecked(
     scheme: LocalizationScheme, x: np.ndarray, us: np.ndarray
 ) -> np.ndarray:
     """eta with no box validation (quadrature tails reach past the box)."""
-    rt = scheme.rt_all(x)
+    return _eta_from(scheme.rt_all(x)[0], scheme.r_weights(us))
+
+
+def _eta_from(rt: np.ndarray, r_all: np.ndarray) -> np.ndarray:
+    """eta(x, .) at points with partition values ``r_all`` (p, k), given the
+    plateaus ``rt`` (k,) of x: the sum over x's live cells only."""
     live = np.nonzero(rt > 0.0)[0]
-    if live.size == 0:
-        return np.zeros(us.shape[0])
-    r_all = scheme.r_weights(us)
     return r_all[:, live] @ rt[live]
 
 
@@ -582,6 +586,27 @@ def _check_cell_time(scheme: LocalizationScheme, j: int, t: float) -> float:
             f"t = {t:g} outside the short-time regime (0, {cap:g}] of cell {j}"
         )
     return t
+
+
+def _cell_terms(model, family, scheme, j, t, f, xs, kappas, quad) -> tuple:
+    """Node-rule pieces of the cell-j operators at every row of xs (m, n).
+
+    Returns ``(weights, logs, g)``: ``logs[kappa]`` is the log kernel plus
+    ``adj`` and ``g`` is f r_j, both of shape (m, k) over each row's nodes.
+    """
+    nodes, xb, weights, adj = _batch_nodes(model, family, t, xs, quad)
+    m = xs.shape[0]
+    logs = {
+        kappa: (_log_kernel_values(model, family, kappa, t, xb, nodes) + adj).reshape(m, -1)
+        for kappa in kappas
+    }
+    g = (_eval_f(f, nodes) * scheme.r_j(j, nodes)).reshape(m, -1)
+    return weights, logs, g
+
+
+def _kernel_gap(a_prev: np.ndarray, a_cur: np.ndarray) -> np.ndarray:
+    """kernel_{kappa-1} - kernel_kappa from their logs, without cancellation."""
+    return -np.exp(a_prev) * np.expm1(a_cur - a_prev)
 
 
 def delta_op(
@@ -620,19 +645,15 @@ def delta_op(
                 xb = np.broadcast_to(x, sub.shape)
                 a_prev = _log_kernel_values(model, family, kappa - 1, t, xb, sub)
                 a_cur = _log_kernel_values(model, family, kappa, t, xb, sub)
-                diff = -np.exp(a_prev) * np.expm1(a_cur - a_prev)
+                diff = _kernel_gap(a_prev, a_cur)
                 out[live] = diff * g[live] * np.exp(gamma.logpdf(sub))
             return out
 
         return rt * _adaptive_integral(model, integrand)
-    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
-    nodes, adj = nodes[0], adj[0]
-    xb = np.broadcast_to(x, nodes.shape)
-    a_prev = _log_kernel_values(model, family, kappa - 1, t, xb, nodes) + adj
-    a_cur = _log_kernel_values(model, family, kappa, t, xb, nodes) + adj
-    g = _eval_f(f, nodes) * scheme.r_j(j, nodes)
-    diff = -np.exp(a_prev) * np.expm1(a_cur - a_prev)
-    return rt * float(weights @ (diff * g))
+    weights, logs, g = _cell_terms(
+        model, family, scheme, j, t, f, x[None, :], (kappa - 1, kappa), quad
+    )
+    return rt * float(weights @ (_kernel_gap(logs[kappa - 1], logs[kappa]) * g)[0])
 
 
 def main_op(
@@ -660,12 +681,8 @@ def main_op(
             return np.exp(a3 + gamma.logpdf(pts)) * g
 
         return rt * _adaptive_integral(model, integrand)
-    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
-    nodes, adj = nodes[0], adj[0]
-    xb = np.broadcast_to(x, nodes.shape)
-    a3 = _log_kernel_values(model, family, 3, t, xb, nodes) + adj
-    g = _eval_f(f, nodes) * scheme.r_j(j, nodes)
-    return rt * float(weights @ (np.exp(a3) * g))
+    weights, logs, g = _cell_terms(model, family, scheme, j, t, f, x[None, :], (3,), quad)
+    return rt * float(weights @ (np.exp(logs[3]) * g)[0])
 
 
 def main_op_convolution(
@@ -732,16 +749,14 @@ def apply_local(
         raise ValidationError(f"unknown route {route!r}")
     t = _check_time(t)
     x = _check_point(model, x)
-    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
-    nodes, adj = nodes[0], adj[0]
-    xb = np.broadcast_to(x, nodes.shape)
+    nodes, xb, weights, adj = _batch_nodes(model, family, t, x[None, :], quad)
     a0 = _log_kernel_values(model, family, 0, t, xb, nodes) + adj
     fvals = _eval_f(f, nodes)
     eta_val = sum_val = None
     if route in ("eta", "both"):
         eta_val = float(weights @ (np.exp(a0) * fvals * _eta_unchecked(scheme, x, nodes)))
     if route in ("sum", "both"):
-        rt = scheme.rt_all(x)
+        rt = scheme.rt_all(x)[0]
         live = np.nonzero(rt > 0.0)[0]
         total = 0.0
         if live.size:
@@ -773,12 +788,20 @@ def apply_global(
 ) -> float:
     """Global remainder: whole semigroup minus the local part, on shared nodes."""
     t = _check_time(t)
-    x = _check_point(model, x)
-    nodes, weights, adj = _node_system(model, family, t, x[None, :], quad)
-    nodes, adj = nodes[0], adj[0]
-    xb = np.broadcast_to(x, nodes.shape)
+    x = _check_point(model, x)[None, :]
+    return _global_rows(model, family, scheme, t, f, x, scheme.rt_all(x), quad)[0]
+
+
+def _global_rows(model, family, scheme, t, f, xs, plateaus, quad) -> list:
+    """Global remainder at every row of xs (m, n), given their plateaus
+    ``scheme.rt_all(xs)`` (m, k).  One node system, kernel evaluation, f and
+    partition evaluation serve every row; each row gets its own 1-D dot."""
+    nodes, xb, weights, adj = _batch_nodes(model, family, t, xs, quad)
+    m = xs.shape[0]
     a0 = _log_kernel_values(model, family, 0, t, xb, nodes) + adj
-    fvals = _eval_f(f, nodes)
-    core = np.exp(a0) * fvals
-    complement = 1.0 - _eta_unchecked(scheme, x, nodes)
-    return float(weights @ (core * complement))
+    core = (np.exp(a0) * _eval_f(f, nodes)).reshape(m, -1)
+    r_all = scheme.r_weights(nodes).reshape(m, core.shape[1], -1)
+    return [
+        float(weights @ (c * (1.0 - _eta_from(rt, r))))
+        for c, rt, r in zip(core, plateaus, r_all)
+    ]

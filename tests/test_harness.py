@@ -278,8 +278,11 @@ def test_sweep_reports_are_byte_identical(tmp_path):
 
 def test_batched_fields_match_single_point_operators():
     """One node system per time serves every point, and each point still gets
-    exactly the single-point operators' value.  The times cover both node
-    branches on ``standard`` (recentred up to ~0.32, invariant at 1)."""
+    the single-point operators' value.  The times cover both node branches on
+    ``standard`` (recentred up to ~0.32, invariant at 1).  The values agree to
+    1e-12 relative, as in the identity row, not bit for bit: the kernel and
+    node densities go through LAPACK solves whose rounding may depend on how
+    many points share the call."""
     model = build_model(ExperimentConfig())
     family = cov_qinf(model)
     quad = QuadratureSpec()
@@ -292,10 +295,14 @@ def test_batched_fields_match_single_point_operators():
     ts = np.array([1e-3, 0.1, 1.0])
     f = _smooth_atom(family, np.array([0.5]), 5.0)
 
+    def close(got, ref):
+        return abs(got - ref) <= 1e-12 * abs(ref)
+
     glob = _global_field(model, family, scheme, f, xs, ts, quad)
-    want = np.array([[apply_global(model, family, scheme, float(t), f, x, quad)
-                      for t in ts] for x in xs])
-    assert np.array_equal(glob, want)
+    for xi, x in enumerate(xs):
+        for ti, t in enumerate(ts.tolist()):
+            ref = apply_global(model, family, scheme, t, f, x, quad)
+            assert close(glob[xi, ti], ref), (x, t)
     assert np.all(glob[:2, 1:] != 0.0)
 
     for j in (0, far):
@@ -307,16 +314,18 @@ def test_batched_fields_match_single_point_operators():
 
         for xi, x in enumerate(xs):
             for ti, t in enumerate(ts_j.tolist()):
-                for kappa in (1, 2, 3):
-                    ref = delta_op(model, family, scheme, kappa, j, t, f, x, quad)
-                    assert fields[f"delta{kappa}"][xi, ti] == ref, (j, x, t, kappa)
-                ref = main_op(model, family, scheme, j, t, f, x, quad)
-                assert fields["main"][xi, ti] == ref, (j, x, t)
-                ref = scheme.rt_at(j, x) * apply_semigroup_kernel(
+                refs = {
+                    f"delta{kappa}": delta_op(
+                        model, family, scheme, kappa, j, t, f, x, quad
+                    )
+                    for kappa in (1, 2, 3)
+                }
+                refs["main"] = main_op(model, family, scheme, j, t, f, x, quad)
+                refs["h_local"] = scheme.rt_at(j, x) * apply_semigroup_kernel(
                     model, family, t, fr, x, quad
                 )
-                got = fields["h_local"][xi, ti]
-                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (j, x, t)
+                for key, ref in refs.items():
+                    assert close(fields[key][xi, ti], ref), (j, x, t, key)
         live = 0 if j == 0 else 1
         for key, vals in fields.items():
             assert np.all(vals[live] != 0.0), (j, key)
