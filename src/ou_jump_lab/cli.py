@@ -259,7 +259,12 @@ def _cmd_semigroup_eval(args) -> int:
     config = _load_config(args)
     model = build_model(config)
     family = cov_qinf(model)
-    powers = tuple(int(p) for p in args.powers.split(","))
+    try:
+        powers = tuple(int(p) for p in args.powers.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"--powers must be comma-separated whole numbers, got {args.powers!r}"
+        )
     if len(powers) != model.n:
         raise ValidationError(
             f"--powers needs {model.n} exponent(s), got {len(powers)}"

@@ -238,28 +238,41 @@ def _extrema_indices(v: np.ndarray) -> np.ndarray:
     return idx[turn]
 
 
+_DP_BLOCK_FLOATS = 1 << 16   # increment-table entries per block (512 KiB)
+
+
 def _variation_dp(v: np.ndarray, rho: float) -> tuple:
     """Suffix DP: G[i] = best sum of a subsequence starting at i.
 
-    Returns (max G, lexicographically earliest optimal index chain).  The
-    greedy reconstruction walks forward re-testing the exact float
-    equalities the DP produced, so the chain always re-sums to the value.
+    Returns (max G, lexicographically earliest optimal index chain).  Rows
+    are filled from the end, one block at a time: each block builds its
+    table of |v[j] - v[i]|^rho once, so memory stays O(block * n) and never
+    n^2.  Each row records its first argmax as its successor; the chain is
+    read off those, so it always re-sums to the value.
     """
     n = v.size
     g = np.zeros(n)
-    for i in range(n - 2, -1, -1):
-        g[i] = float(np.max(np.abs(v[i + 1 :] - v[i]) ** rho + g[i + 1 :]))
+    succ = np.zeros(n, dtype=np.intp)
+    rows = max(1, _DP_BLOCK_FLOATS // n)
+    hi = n - 1
+    while hi > 0:
+        lo = max(0, hi - rows)
+        # table[i - lo, c] = |v[lo + 1 + c] - v[i]|^rho
+        table = np.abs(v[lo + 1 :] - v[lo:hi, None]) ** rho
+        for i in range(hi - 1, lo - 1, -1):
+            tail = table[i - lo, i - lo :] + g[i + 1 :]
+            k = int(tail.argmax())
+            g[i] = tail[k]
+            succ[i] = i + 1 + k
+        hi = lo
     total = float(g.max())
     if total == 0.0:
         return 0.0, [0]
-    start = int(np.argmax(g == total))
-    chain = [start]
-    i = start
+    i = int(np.argmax(g == total))
+    chain = [i]
     while g[i] > 0.0:
-        tail = np.abs(v[i + 1 :] - v[i]) ** rho + g[i + 1 :]
-        nxt = i + 1 + int(np.argmax(tail == g[i]))
-        chain.append(nxt)
-        i = nxt
+        i = int(succ[i])
+        chain.append(i)
     return total, chain
 
 

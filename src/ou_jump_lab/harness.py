@@ -224,11 +224,30 @@ def indicator_atom(lo: float, hi: float, mass: float) -> Callable:
 
 
 def monomial(powers: Sequence[int]) -> Callable:
-    """f(x) = prod_i x_i^powers[i], vectorized over rows."""
-    pw = np.asarray(powers, dtype=float)
+    """f(x) = prod_i x_i^powers[i] for whole powers >= 0, vectorized over rows.
+
+    Each axis is raised to its own Python int, so ``x ** 2`` takes numpy's
+    exact square path and zero powers cost nothing; a negative or fractional
+    power raises ``ValidationError`` instead of computing a reciprocal or a
+    root.
+    """
+    try:
+        pw = np.asarray(powers, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"monomial powers must be numbers, got {powers!r}") from exc
+    if not np.all((pw >= 0.0) & (pw == np.floor(pw)) & np.isfinite(pw)):
+        raise ValidationError(
+            f"monomial powers must be whole numbers >= 0, got {pw.tolist()}"
+        )
+    ints = [int(p) for p in pw]
 
     def f(pts: np.ndarray) -> np.ndarray:
-        return np.prod(np.atleast_2d(pts) ** pw[None, :], axis=1)
+        pts = np.atleast_2d(pts)
+        out = np.ones(pts.shape[0])
+        for axis, p in enumerate(ints):
+            if p:
+                out = out * pts[:, axis] ** p
+        return out
 
     return f
 

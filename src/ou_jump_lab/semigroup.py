@@ -609,6 +609,29 @@ def _kernel_gap(a_prev: np.ndarray, a_cur: np.ndarray) -> np.ndarray:
     return -np.exp(a_prev) * np.expm1(a_cur - a_prev)
 
 
+def _adaptive_on_support(model, scheme, j: int, f: Callable, body: Callable) -> float:
+    """Adaptive integral of a cell integrand that is ``body(pts, g)`` where
+    g = f r_j is nonzero and exactly zero elsewhere.
+
+    f is evaluated first, r_j only where f is nonzero, and ``body`` (the
+    kernel work) only where g is.  Far off the support the kernel logs can
+    overflow, and 0 * inf would poison the rule.
+    """
+    def integrand(pts):
+        out = np.zeros(pts.shape[0])
+        fv = _eval_f(f, pts)
+        live = np.nonzero(fv != 0.0)[0]
+        if live.size:
+            g = fv[live] * scheme.r_j(j, pts[live])
+            keep = g != 0.0
+            live, g = live[keep], g[keep]
+            if live.size:
+                out[live] = body(pts[live], g)
+        return out
+
+    return _adaptive_integral(model, integrand)
+
+
 def delta_op(
     model: OUModel,
     family: CovarianceFamily,
@@ -634,22 +657,13 @@ def delta_op(
     if quad.scheme == "adaptive":
         gamma = invariant_measure(family)
 
-        def integrand(pts):
-            # only evaluate kernels on the bump support: far outside it the
-            # log difference overflows expm1 and 0 * inf would poison the rule
-            g = _eval_f(f, pts) * scheme.r_j(j, pts)
-            out = np.zeros(g.shape)
-            live = np.nonzero(g != 0.0)[0]
-            if live.size:
-                sub = pts[live]
-                xb = np.broadcast_to(x, sub.shape)
-                a_prev = _log_kernel_values(model, family, kappa - 1, t, xb, sub)
-                a_cur = _log_kernel_values(model, family, kappa, t, xb, sub)
-                diff = _kernel_gap(a_prev, a_cur)
-                out[live] = diff * g[live] * np.exp(gamma.logpdf(sub))
-            return out
+        def body(sub, g):
+            xb = np.broadcast_to(x, sub.shape)
+            a_prev = _log_kernel_values(model, family, kappa - 1, t, xb, sub)
+            a_cur = _log_kernel_values(model, family, kappa, t, xb, sub)
+            return _kernel_gap(a_prev, a_cur) * g * np.exp(gamma.logpdf(sub))
 
-        return rt * _adaptive_integral(model, integrand)
+        return rt * _adaptive_on_support(model, scheme, j, f, body)
     weights, logs, g = _cell_terms(
         model, family, scheme, j, t, f, x[None, :], (kappa - 1, kappa), quad
     )
@@ -674,13 +688,12 @@ def main_op(
     if quad.scheme == "adaptive":
         gamma = invariant_measure(family)
 
-        def integrand(pts):
-            xb = np.broadcast_to(x, pts.shape)
-            a3 = _log_kernel_values(model, family, 3, t, xb, pts)
-            g = _eval_f(f, pts) * scheme.r_j(j, pts)
-            return np.exp(a3 + gamma.logpdf(pts)) * g
+        def body(sub, g):
+            xb = np.broadcast_to(x, sub.shape)
+            a3 = _log_kernel_values(model, family, 3, t, xb, sub)
+            return np.exp(a3 + gamma.logpdf(sub)) * g
 
-        return rt * _adaptive_integral(model, integrand)
+        return rt * _adaptive_on_support(model, scheme, j, f, body)
     weights, logs, g = _cell_terms(model, family, scheme, j, t, f, x[None, :], (3,), quad)
     return rt * float(weights @ (np.exp(logs[3]) * g)[0])
 
@@ -710,12 +723,11 @@ def main_op_convolution(
     if quad.scheme == "adaptive":
         gauss = GaussianMeasure(x, t * model.diffusion)
 
-        def integrand(pts):
-            rv = np.atleast_1d(quadratic_R(family, pts))
-            g = _eval_f(f, pts) * scheme.r_j(j, pts)
-            return np.exp(rx - rv + gauss.logpdf(pts)) * g
+        def body(sub, g):
+            rv = np.atleast_1d(quadratic_R(family, sub))
+            return np.exp(rx - rv + gauss.logpdf(sub)) * g
 
-        return rt * _adaptive_integral(model, integrand)
+        return rt * _adaptive_on_support(model, scheme, j, f, body)
     chol = math.sqrt(t) * np.linalg.cholesky(model.diffusion)
     nodes, weights = _gaussian_nodes(x, chol, quad)
     rv = quadratic_R(family, nodes)

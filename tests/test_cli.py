@@ -89,6 +89,18 @@ def test_semigroup_eval_both_routes(capsys, tmp_path):
     assert payload["kolmogorov"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_semigroup_eval_bad_powers_leave_no_artifacts(capsys, tmp_path):
+    outdir = tmp_path / "runs"
+    for powers in ("-1", "0.5"):
+        code, _, err = _run(
+            capsys, "semigroup-eval", "--preset", "standard", "--t", "1.0",
+            "--x", "0.8", "--powers", powers, "--outdir", str(outdir),
+        )
+        assert code == 1, powers
+        assert "whole numbers" in err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_certify_subcommand(capsys, tmp_path):
     code, out, _ = _run(
         capsys, "certify", "--preset", "standard", "--bound", "litet_upper",

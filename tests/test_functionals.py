@@ -8,6 +8,7 @@ small enough to verify by eye.
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from ou_jump_lab import (
     weak_quasinorm,
     write_curves_csv,
 )
+from ou_jump_lab import functionals
+from ou_jump_lab.functionals import _variation_dp
 
 SEED = 20250815
 
@@ -214,6 +217,51 @@ def test_variation_partition_resums():
             total = float(inc) ** 2.0 + total
         assert abs(total ** 0.5 - res.value) <= 1e-12 * max(1.0, res.value)
         assert list(res.partition) == sorted(set(res.partition))
+
+
+def _per_row_variation_dp(v, rho):
+    """The DP one row at a time, increments rebuilt per row, chain found by
+    re-testing the row equalities: the reference for the table form."""
+    g = np.zeros(v.size)
+    for i in range(v.size - 2, -1, -1):
+        g[i] = float(np.max(np.abs(v[i + 1 :] - v[i]) ** rho + g[i + 1 :]))
+    total = float(g.max())
+    if total == 0.0:
+        return 0.0, [0]
+    i = int(np.argmax(g == total))
+    chain = [i]
+    while g[i] > 0.0:
+        tail = np.abs(v[i + 1 :] - v[i]) ** rho + g[i + 1 :]
+        i = i + 1 + int(np.argmax(tail == g[i]))
+        chain.append(i)
+    return total, chain
+
+
+@pytest.mark.parametrize("block_floats", [None, 7, 500])
+def test_variation_dp_matches_per_row_form(monkeypatch, block_floats):
+    """Same value and chain, bit for bit, including across block edges."""
+    if block_floats is not None:
+        monkeypatch.setattr(functionals, "_DP_BLOCK_FLOATS", block_floats)
+    rng = np.random.default_rng(SEED + 9)
+    lengths = [1, 2, 3, 218, 219, 300] + [int(n) for n in rng.integers(2, 301, 24)]
+    for k, n in enumerate(lengths):
+        v = rng.normal(0.0, 1.0, n)
+        if k % 2:
+            v = np.round(v * 2.0) / 2.0   # ties
+        for rho in (1.0, 1.5, 2.0, 3.0, float(rng.uniform(1.0, 4.0))):
+            assert _variation_dp(v, rho) == _per_row_variation_dp(v, rho), (n, rho)
+
+
+def test_full_variation_memory_is_not_quadratic():
+    n = 5000
+    curve = _curve(np.random.default_rng(SEED + 10).normal(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        rho_variation(curve, 2.0, method="full")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 50   # n^2 floats would be 200 MB
 
 
 def test_variation_monotone_in_rho():

@@ -116,6 +116,25 @@ def test_indicator_and_monomial():
     assert f(np.array([[3.0, 2.0]]))[0] == 18.0
 
 
+def test_monomial_integer_powers():
+    pts = np.random.default_rng(3).normal(0.0, 2.0, (50, 2))
+    for powers in ((0, 0), (1, 0), (2, 0), (0, 3), (2, 1), (4.0, 1)):
+        got = monomial(powers)(pts)
+        want = pts[:, 0] ** int(powers[0]) * pts[:, 1] ** int(powers[1])
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0), powers
+    # the square goes through exact multiplication
+    assert np.array_equal(monomial((2,))(pts[:, :1]), pts[:, 0] * pts[:, 0])
+    assert np.array_equal(monomial((0, 0))(pts), np.ones(50))
+
+
+@pytest.mark.parametrize(
+    "powers", [(0.5,), (-1,), (2, -2), (1.5, 0), (np.nan,), (np.inf,), ("a",)]
+)
+def test_monomial_rejects_bad_powers(powers):
+    with pytest.raises(ValidationError):
+        monomial(powers)
+
+
 def test_smooth_atom_has_unit_invariant_mass():
     """Including far from the origin, where a fixed Gaussian rule would miss
     the bump entirely."""

@@ -15,6 +15,7 @@ import pytest
 from ou_jump_lab import (
     BadKappa,
     BoxTooSmall,
+    ExperimentConfig,
     OutOfBox,
     QuadratureSpec,
     TimeNonPositive,
@@ -36,7 +37,11 @@ from ou_jump_lab import (
     preset_rotating2d,
     preset_standard,
 )
-from ou_jump_lab.semigroup import _node_system
+from ou_jump_lab import semigroup
+from ou_jump_lab.harness import _smooth_atom
+from ou_jump_lab.kernels import _log_kernel_values
+from ou_jump_lab.model import GaussianMeasure, invariant_measure, quadratic_R
+from ou_jump_lab.semigroup import _adaptive_integral, _kernel_gap, _node_system
 
 GAUSS = QuadratureSpec()
 ADAPTIVE = QuadratureSpec(scheme="adaptive")
@@ -404,6 +409,85 @@ def test_main_op_convolution_agrees(scheme_1d):
     b = main_op_convolution(model, family, scheme_1d, j, t, f, x, ADAPTIVE)
     assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
     assert abs(a) > 1e-4  # the check must not pass vacuously
+
+
+def test_adaptive_cell_integrands_skip_zeros_of_f(monkeypatch):
+    """The adaptive cell integrands only do kernel work where f is nonzero,
+    and give exactly the value of the integrand evaluated everywhere."""
+    model, family = _standard()
+    config = ExperimentConfig()
+    scheme = build_localization(model, family, config.box, config.lattice_step)
+    j = int(np.argmin(np.abs(np.linalg.norm(scheme.centers, axis=1) - 2.0)))
+    center, radius = scheme.centers[j], float(scheme.radii[j])
+    f = _smooth_atom(family, center, 0.5 * radius)
+    x = center + 0.25 * radius
+    t = 0.5 * scheme.cell_time_cap(j)
+    rt = scheme.rt_at(j, x)
+    gamma = invariant_measure(family)
+    gauss = GaussianMeasure(x, t * model.diffusion)
+    rx = quadratic_R(family, x)
+    seen = []
+
+    def everywhere(body):
+        def integrand(pts):
+            g = f(pts) * scheme.r_j(j, pts)
+            seen.append(g)
+            return body(pts, g)
+
+        return rt * _adaptive_integral(model, integrand)
+
+    def delta_body(kappa):
+        def body(pts, g):
+            # the kernel gap overflows far off the support, so this one
+            # reference keeps the f r_j != 0 mask it always had
+            out = np.zeros(g.shape)
+            live = g != 0.0
+            xb = np.broadcast_to(x, pts[live].shape)
+            a_prev = _log_kernel_values(model, family, kappa - 1, t, xb, pts[live])
+            a_cur = _log_kernel_values(model, family, kappa, t, xb, pts[live])
+            out[live] = _kernel_gap(a_prev, a_cur) * g[live] * np.exp(
+                gamma.logpdf(pts[live])
+            )
+            return out
+
+        return body
+
+    def main_body(pts, g):
+        xb = np.broadcast_to(x, pts.shape)
+        a3 = _log_kernel_values(model, family, 3, t, xb, pts)
+        return np.exp(a3 + gamma.logpdf(pts)) * g
+
+    def conv_body(pts, g):
+        rv = np.atleast_1d(quadratic_R(family, pts))
+        return np.exp(rx - rv + gauss.logpdf(pts)) * g
+
+    refs = {kappa: everywhere(delta_body(kappa)) for kappa in (1, 2, 3)}
+    refs["main"] = everywhere(main_body)
+    refs["conv"] = everywhere(conv_body)
+    assert np.mean(np.concatenate(seen) == 0.0) > 0.5  # the gate has work to skip
+    assert abs(refs["main"]) > 1.0
+
+    received = []
+
+    def recording(fn, arg):
+        def wrapped(*args):
+            received.append(np.atleast_2d(args[arg]))
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(semigroup, "_log_kernel_values", recording(_log_kernel_values, 5))
+    monkeypatch.setattr(semigroup, "quadratic_R", recording(quadratic_R, 1))
+    got = {
+        kappa: delta_op(model, family, scheme, kappa, j, t, f, x, ADAPTIVE)
+        for kappa in (1, 2, 3)
+    }
+    got["main"] = main_op(model, family, scheme, j, t, f, x, ADAPTIVE)
+    got["conv"] = main_op_convolution(model, family, scheme, j, t, f, x, ADAPTIVE)
+    assert got == refs
+    pts = np.concatenate(received)
+    assert pts.shape[0] > 100
+    assert np.all(f(pts) != 0.0)
 
 
 def test_delta_op_validation(scheme_1d):
