@@ -26,6 +26,18 @@ min or the max of level k by more than lam.  Once K >= 2, level K - 1
 spans more than lam, so a sample that clears neither range lies inside it
 and cannot change levels K - 1 or K; lower levels are never needed again.
 ``jump_count_dp`` is the quadratic oracle it is tested against bit for bit.
+
+The seminorm builders count with that sweep stacked: ``_seminorm_engine``
+stacks the curves of one sample count into an (m, N) array and steps it one
+sample index at a time over an (m curves x L thresholds) state, so all m*L
+counts cost N rounds of numpy work instead of m*L Python loops.  It is the
+engine's only counting path.  The counts equal ``jump_count``'s bit for
+bit: each pair takes the same branch on the same float predicates,
+``x - lo > lam`` and ``hi - x > lam`` (never ``x > lo + lam``; the second
+gap is formed as ``-x - (-hi)``, the same float because negation is exact
+and rounding is symmetric), and the two ranges take the same updates in the
+same order.  ``jump_count`` stays the scalar reference, used by the identity
+suite and ``cli functionals --lam``.
 """
 
 from __future__ import annotations
@@ -167,11 +179,6 @@ def jump_count_dp(curve: SampledCurve, lam: float) -> int:
     return int(best.max())
 
 
-def _exceedance_count(curve: SampledCurve, lam: float) -> int:
-    """Number of lam-exceeding moves along the best chain (= length - 1)."""
-    return jump_count(curve, lam) - 1
-
-
 # ---------------------------------------------------------------------------
 # rho-variation
 # ---------------------------------------------------------------------------
@@ -292,6 +299,8 @@ def weak_quasinorm(values, weights) -> float:
         raise ValidationError(
             f"values/weights length mismatch: {vals.size} vs {w.size}"
         )
+    if not (np.isfinite(vals).all() and np.isfinite(w).all()):
+        raise ValidationError("values and weights must be finite")
     if np.any(w < 0.0):
         raise ValidationError("weights must be nonnegative")
     if vals.size == 0:
@@ -337,6 +346,49 @@ class WeakNormEstimate:
         }
 
 
+def _stacked_jump_counts(values: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """:func:`jump_count` of every row of ``values`` at every threshold.
+
+    Returns the (m, L) chain lengths for the (m, N) array ``values`` and the
+    L thresholds ``lams``.  It runs the same two-range sweep, one sample
+    index at a time, over an (m, L) state of K, B and A.  Each range is
+    kept as (lo, -hi), so one subtraction of (x, -x) gives both gaps
+    ``x - lo`` and ``-x - (-hi)``.  Negation is exact and rounding is
+    symmetric, so the second gap is the same float as ``hi - x``: each
+    comparison is :func:`jump_count`'s own predicate, never ``x > lo + lam``.
+    Per step, a pair that clears A widens B; a pair that clears B opens a
+    level, which sets A to B widened by x and B to [x, x], overriding the
+    widening.  While K = 1, A = (-inf, inf), so every sample widens B, and
+    a curve whose range is <= lam stays at K = 1 without a special case.
+    """
+    m, n = values.shape
+    ys = np.empty((n, 2, m, 1))          # ys[j] = (x, -x) for sample j
+    ys[:, 0, :, 0] = values.T
+    np.negative(ys[:, 0], out=ys[:, 1])
+    state = np.empty((2, 2, m, lams.size))   # (B, A) x (lo, -hi)
+    b, a = state
+    b[...] = ys[0]
+    a.fill(-np.inf)
+    k = np.ones((m, lams.size), dtype=np.int64)
+    gaps = np.empty_like(state)
+    clears = np.empty(state.shape, dtype=bool)
+    hits = np.empty(state.shape, dtype=bool)
+    opens, joins = hits                  # clears B / A at either end
+    widened = np.empty_like(b)
+    for y in ys:
+        np.subtract(y, state, out=gaps)
+        np.greater(gaps, lams, out=clears)
+        # lo-or-hi, written to both halves so the masks match (lo, -hi)
+        np.logical_or(clears, clears[:, ::-1], out=hits)
+        np.minimum(b, y, out=widened)
+        np.copyto(b, widened, where=joins)
+        if opens[0].any():
+            k += opens[0]
+            np.copyto(a, widened, where=opens)
+            np.copyto(b, y, where=opens)
+    return k
+
+
 def _seminorm_engine(
     curves: Sequence[SampledCurve],
     weights,
@@ -345,6 +397,14 @@ def _seminorm_engine(
     lambdas,
     spatial_norm,
 ) -> WeakNormEstimate:
+    """max over lam of spatial_norm(lam * exceedances^(1/rho), weights, p).
+
+    The curves are grouped by sample count (a harness field is one group)
+    and each group's values are stacked into one (m, N) array, whose counts
+    at every threshold come from one :func:`_stacked_jump_counts` sweep.
+    Its counts equal :func:`jump_count`'s bit for bit, so the estimate does
+    not depend on the grouping.
+    """
     rho = float(rho)
     if rho < 1.0:
         raise RhoOutOfRange(f"rho must be >= 1, got {rho}")
@@ -356,20 +416,25 @@ def _seminorm_engine(
         raise ValidationError(
             f"{len(curves)} curves but {w.size} weights"
         )
+    if not np.isfinite(w).all():
+        raise ValidationError("weights must be finite")
     if np.any(w < 0.0):
         raise ValidationError("weights must be nonnegative")
     lam_arr = np.asarray(lambdas, dtype=float).reshape(-1)
-    if lam_arr.size == 0 or not np.all(lam_arr > 0.0):
-        raise ValidationError("lambda grid must be nonempty and positive")
-    ranges = np.array([c.value_range() for c in curves])
-    per_lambda = np.empty(lam_arr.size)
-    counts = np.zeros(len(curves))
-    for k, lam in enumerate(lam_arr):
-        for i, curve in enumerate(curves):
-            # a chain needs a gap > lam somewhere; skip flat-enough curves
-            counts[i] = 0 if ranges[i] <= lam else _exceedance_count(curve, lam)
-        g = lam * counts ** (1.0 / rho)
-        per_lambda[k] = spatial_norm(g, w, p)
+    finite = np.isfinite(lam_arr).all()
+    if lam_arr.size == 0 or not (finite and np.all(lam_arr > 0.0)):
+        raise ValidationError("lambda grid must be nonempty, positive and finite")
+    by_length: dict = {}
+    for i, curve in enumerate(curves):
+        by_length.setdefault(curve.n_samples, []).append(i)
+    # counts[k, i]: exceedances of curve i at lam_k; each lam_k gets one
+    # contiguous row, so the spatial norms see the same arrays as per-lam code
+    counts = np.empty((lam_arr.size, len(curves)))
+    for rows in by_length.values():
+        values = np.stack([curves[i].values for i in rows])
+        counts[:, rows] = (_stacked_jump_counts(values, lam_arr) - 1).T
+    g = lam_arr[:, None] * counts ** (1.0 / rho)
+    per_lambda = np.array([spatial_norm(g_k, w, p) for g_k in g])
     best = int(np.argmax(per_lambda))
     return WeakNormEstimate(
         lambda_grid=lam_arr.copy(),

@@ -678,10 +678,14 @@ def _grid_weights_1d(family: CovarianceFamily, pts: np.ndarray) -> np.ndarray:
     return np.diff(np.concatenate([[0.0], cdf, [1.0]]))
 
 
-def _lebesgue_weights_1d(pts: np.ndarray) -> np.ndarray:
+def _clipped_voronoi_edges(pts: np.ndarray) -> np.ndarray:
+    """Edges of the Voronoi cells of sorted ``pts``, clipped to [pts[0], pts[-1]]."""
     mids = 0.5 * (pts[1:] + pts[:-1])
-    edges = np.concatenate([[pts[0]], mids, [pts[-1]]])
-    return np.diff(edges)
+    return np.concatenate([[pts[0]], mids, [pts[-1]]])
+
+
+def _lebesgue_weights_1d(pts: np.ndarray) -> np.ndarray:
+    return np.diff(_clipped_voronoi_edges(pts))
 
 
 def _row_lambda_grid(curves, weights, per_decade: int = 10) -> np.ndarray:
@@ -717,9 +721,7 @@ def _invariant_window_weights_1d(family: CovarianceFamily,
     otherwise dwarf the window's own mass and swamp the aggregate.
     """
     sd = math.sqrt(float(family.qinf[0, 0]))
-    mids = 0.5 * (pts[1:] + pts[:-1])
-    edges = np.concatenate([[pts[0]], mids, [pts[-1]]])
-    return np.diff(ndtr(edges / sd))
+    return np.diff(ndtr(_clipped_voronoi_edges(pts) / sd))
 
 
 def _lebesgue_l1_1d(f: Callable, center: float, width: float) -> float:

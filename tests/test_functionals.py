@@ -29,7 +29,7 @@ from ou_jump_lab import (
     write_curves_csv,
 )
 from ou_jump_lab import functionals
-from ou_jump_lab.functionals import _variation_dp
+from ou_jump_lab.functionals import _stacked_jump_counts, _variation_dp
 
 SEED = 20250815
 
@@ -140,6 +140,51 @@ def test_jump_count_float_edges():
         curve = _curve(rng.choice(pool, int(rng.integers(2, 14))))
         lam = float(rng.choice([1.0, 1.0 + ulp, ulp, 1e-17]))
         assert jump_count(curve, lam) == jump_count_dp(curve, lam)
+
+
+def _assert_stacked_matches_scalar(curves, lams):
+    """One stacked batch per sequence length, row by row against jump_count."""
+    lams = np.asarray(lams, dtype=float)
+    by_length = {}
+    for curve in curves:
+        by_length.setdefault(curve.n_samples, []).append(curve)
+    for batch in by_length.values():
+        stacked = _stacked_jump_counts(np.stack([c.values for c in batch]), lams)
+        assert stacked.shape == (len(batch), lams.size)
+        for curve, row in zip(batch, stacked):
+            expect = [jump_count(curve, float(lam)) for lam in lams]
+            assert row.tolist() == expect, (curve.values.tolist(), lams)
+
+
+def test_stacked_counts_match_scalar_exhaustively():
+    """The exhaustive set above, one batch of all 4^N sequences per length."""
+    curves = [
+        _curve(seq)
+        for length in range(1, 7)
+        for seq in itertools.product((0.0, 1.0, 2.0, 3.0), repeat=length)
+    ]
+    _assert_stacked_matches_scalar(curves, [0.5, 1.0, 1.5, 2.5])
+
+
+def test_stacked_counts_float_edges():
+    """The float-edge cases above, stacked: the strict predicate at the last bit."""
+    ulp = 2.0**-52
+    tied = _curve(1.0 + ulp * np.array([0.0, 2.0, 0.0, 2.0]))
+    assert _stacked_jump_counts(tied.values[None], np.array([2.0 * ulp, ulp])
+                                ).tolist() == [[1, 4]]
+    rounded = _curve([-1e-17, 1.0 + ulp])
+    assert _stacked_jump_counts(rounded.values[None], np.array([1.0 + ulp])
+                                ).tolist() == [[1]]
+    rng = np.random.default_rng(SEED + 4)
+    steps = [rng.integers(0, 6, int(rng.integers(2, 14))) for _ in range(300)]
+    _assert_stacked_matches_scalar(
+        [_curve(1.0 + ulp * s) for s in steps], ulp * np.arange(1.0, 5.0)
+    )
+    pool = np.array([-1e-17, 0.0, 1e-17, 1.0, 1.0 + ulp, 1.0 + 2.0 * ulp, 2.0])
+    _assert_stacked_matches_scalar(
+        [_curve(rng.choice(pool, int(rng.integers(2, 14)))) for _ in range(300)],
+        [1.0, 1.0 + ulp, ulp, 1e-17],
+    )
 
 
 def test_jump_count_monotone_in_threshold():
@@ -304,6 +349,11 @@ def test_weak_quasinorm_validation():
         weak_quasinorm([1.0, 2.0], [1.0])
     with pytest.raises(ValidationError):
         weak_quasinorm([1.0], [-1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            weak_quasinorm([1.0, bad], [1.0, 1.0])
+        with pytest.raises(ValidationError):
+            weak_quasinorm([1.0, 2.0], [1.0, bad])
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +385,30 @@ def test_weak_seminorm_hand_example():
     assert est.value == 0.6  # level 2 with mass 0.3
 
 
+def test_seminorms_of_ragged_curves_match_per_pair_counts():
+    """Mixed lengths go through one stacked sweep per length; the estimates
+    equal a per-(curve, lam) jump_count loop."""
+    rng = np.random.default_rng(SEED + 11)
+    curves = _random_curves(rng, 25, max_len=30)
+    curves += [_curve(rng.normal(0.0, 1.0, 300)) for _ in range(3)]
+    curves += [_curve(np.full(7, 0.5)), _curve([2.0])]
+    w = rng.uniform(0.0, 1.0, len(curves))
+    lams = np.concatenate([lambda_grid(curves, count=12), [1e-3, 0.1, 0.1]])
+    counts = np.array(
+        [[jump_count(c, float(lam)) - 1 for c in curves] for lam in lams],
+        dtype=float,
+    )
+    for rho in (1.0, 2.0, 3.0):
+        g = lams[:, None] * counts ** (1.0 / rho)
+        weak = weak_jump_quasi_seminorm(curves, w, rho=rho, lambdas=lams)
+        assert weak.per_lambda.tolist() == [weak_quasinorm(gk, w) for gk in g]
+        for p in (1.0, 2.5):
+            strong = jump_quasi_seminorm(curves, w, rho=rho, p=p, lambdas=lams)
+            expect = [float((w @ np.abs(gk) ** p) ** (1.0 / p)) for gk in g]
+            assert strong.per_lambda.tolist() == expect
+            assert strong.value == max(expect)
+
+
 def test_seminorm_decreasing_in_rho():
     rng = np.random.default_rng(SEED + 8)
     curves = _random_curves(rng, 12)
@@ -361,6 +435,24 @@ def test_seminorm_validation():
         jump_quasi_seminorm([c], [1.0], rho=2.0, p=1.0, lambdas=[])
     with pytest.raises(ValidationError):
         jump_quasi_seminorm([c], [1.0], rho=2.0, p=1.0, lambdas=[0.0])
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_seminorms_reject_non_finite_thresholds(lam):
+    c = _curve([0.0, 1.0])
+    with pytest.raises(ValidationError):
+        weak_jump_quasi_seminorm([c], [1.0], rho=2.0, lambdas=[1.0, lam])
+    with pytest.raises(ValidationError):
+        jump_quasi_seminorm([c], [1.0], rho=2.0, p=1.0, lambdas=[lam])
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_seminorms_reject_non_finite_weights(weight):
+    c = _curve([0.0, 1.0])
+    with pytest.raises(ValidationError):
+        weak_jump_quasi_seminorm([c, c], [1.0, weight], rho=2.0, lambdas=[0.5])
+    with pytest.raises(ValidationError):
+        jump_quasi_seminorm([c], [weight], rho=2.0, p=1.0, lambdas=[0.5])
 
 
 def test_weak_norm_estimate_json():
