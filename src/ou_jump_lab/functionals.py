@@ -167,15 +167,33 @@ def jump_count(curve: SampledCurve, lam: float) -> int:
     return k
 
 
+_DP_JUMP_ROWS = 32   # rows of the jump_count_dp predicate table per block
+
+
 def jump_count_dp(curve: SampledCurve, lam: float) -> int:
-    """Quadratic reference for :func:`jump_count` (obviously correct form)."""
+    """Quadratic reference for :func:`jump_count` (obviously correct form).
+
+    best[i], the longest chain ending at sample i, is one more than the
+    largest best[j] over the earlier j with ``abs(v[j] - v[i]) > lam`` (or 1
+    if there is none).  The literal predicate table is built for a block of
+    rows at a time: each row takes its max over earlier blocks in one numpy
+    step, then the recurrence runs row by row over the block's own columns.
+    """
     lam = _check_lambda(lam)
     v = curve.values
     best = np.ones(v.size, dtype=np.int64)
-    for i in range(1, v.size):
-        reachable = np.abs(v[:i] - v[i]) > lam
-        if reachable.any():
-            best[i] = 1 + best[:i][reachable].max()
+    for lo in range(0, v.size, _DP_JUMP_ROWS):
+        hi = min(v.size, lo + _DP_JUMP_ROWS)
+        # reach[r, j] = abs(v[j] - v[lo + r]) > lam, for every j < hi
+        reach = np.abs(v[:hi] - v[lo:hi, None]) > lam
+        block = (reach[:, :lo] * best[:lo]).max(axis=1, initial=0).tolist()
+        for r, row in enumerate(reach[:, lo:].tolist()):
+            m = block[r]
+            for k in range(r):
+                if row[k] and block[k] > m:
+                    m = block[k]
+            block[r] = m + 1
+        best[lo:hi] = block
     return int(best.max())
 
 

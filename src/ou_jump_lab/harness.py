@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from ._version import __version__
@@ -261,6 +260,10 @@ def _smooth_atom(family: CovarianceFamily, center: np.ndarray,
     the nodes of any fixed Gaussian rule, and a mass that is off by an order
     of magnitude silently rescales every ratio built on the atom.
     """
+    # imported on first use: it loads scipy.optimize and scipy.sparse too,
+    # and the weak-type sweep never integrates adaptively
+    from scipy import integrate
+
     center = np.asarray(center, dtype=float)
 
     def raw(pts: np.ndarray) -> np.ndarray:
@@ -503,7 +506,8 @@ def run_weak_type_sweep(config: ExperimentConfig) -> WeakTypeReport:
         for wlo, whi in ((config.t_min, cap), (cap, 1.0), (1.0, t_max)):
             sub = _window_curves(xs, ts_fine, field_fine, wlo, whi)
             if sub is None:
-                regime_vals.append(0.0)
+                # under 2 samples, e.g. [cap, 1] = [1, 1] when |centre| <= 1
+                regime_vals.append(math.nan)
                 continue
             val, _ = _field_seminorm(sub, weights, config.rho, lambdas)
             regime_vals.append(val)
@@ -726,6 +730,8 @@ def _invariant_window_weights_1d(family: CovarianceFamily,
 
 def _lebesgue_l1_1d(f: Callable, center: float, width: float) -> float:
     """Lebesgue L1 norm of a nonnegative bump supported on [c - w, c + w]."""
+    from scipy import integrate  # on first use, as in _smooth_atom
+
     val, _ = integrate.quad(
         lambda u: float(f(np.array([[u]]))[0]),
         center - width, center + width, limit=100,

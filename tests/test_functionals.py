@@ -142,6 +142,39 @@ def test_jump_count_float_edges():
         assert jump_count(curve, lam) == jump_count_dp(curve, lam)
 
 
+def _per_row_jump_count_dp(curve, lam):
+    """The quadratic DP one row at a time, predicates rebuilt per row: the
+    reference for the blocked table form."""
+    v = curve.values
+    best = np.ones(v.size, dtype=np.int64)
+    for i in range(1, v.size):
+        reachable = np.abs(v[:i] - v[i]) > lam
+        if reachable.any():
+            best[i] = 1 + best[:i][reachable].max()
+    return int(best.max())
+
+
+@pytest.mark.parametrize("rows", [None, 1, 5])
+def test_jump_count_dp_matches_per_row_form(monkeypatch, rows):
+    """The exhaustive set and ragged curves, including across block edges."""
+    if rows is not None:
+        monkeypatch.setattr(functionals, "_DP_JUMP_ROWS", rows)
+    for length in range(1, 7):
+        times = np.arange(1, length + 1, dtype=float)
+        for seq in itertools.product((0.0, 1.0, 2.0, 3.0), repeat=length):
+            curve = SampledCurve(times, np.array(seq))
+            for lam in (0.5, 1.0, 1.5, 2.5):
+                assert jump_count_dp(curve, lam) == _per_row_jump_count_dp(
+                    curve, lam
+                ), (seq, lam)
+    rng = np.random.default_rng(SEED + 12)
+    curves = _random_curves(rng, 40, max_len=70)
+    curves += [_curve(rng.normal(0.0, 1.0, n)) for n in (31, 32, 33, 64, 65, 300)]
+    for curve in curves:
+        for lam in (1e-3, 0.1, float(rng.uniform(0.05, 2.5))):
+            assert jump_count_dp(curve, lam) == _per_row_jump_count_dp(curve, lam)
+
+
 def _assert_stacked_matches_scalar(curves, lams):
     """One stacked batch per sequence length, row by row against jump_count."""
     lams = np.asarray(lams, dtype=float)

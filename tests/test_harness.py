@@ -8,12 +8,17 @@ Reports rendered twice from one config must agree byte for byte.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
+import ou_jump_lab
 from ou_jump_lab import (
     ExperimentConfig,
     FailureList,
@@ -257,18 +262,44 @@ def test_identity_report_write(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_sweep_row_shape():
-    report = run_weak_type_sweep(TINY_SWEEP)
-    assert len(report.rows) == 1
-    row = report.rows[0]
-    assert row.converged
-    assert math.isfinite(row.j_fine) and row.j_fine > 0.0
-    assert row.n_coarse * 2 - row.n_fine in (0, 1)
-    assert row.argmax_lambda > 0.0
-    # regime columns partition the time interval; all finite
-    for v in (row.regime_small, row.regime_mid, row.regime_large):
-        assert math.isfinite(v)
+    report = run_weak_type_sweep(ExperimentConfig(
+        **{**TINY_SWEEP.to_json_dict(), "atom_centers": (0.0, 2.0)}
+    ))
+    assert len(report.rows) == 2
+    for row in report.rows:
+        assert row.converged
+        assert math.isfinite(row.j_fine) and row.j_fine > 0.0
+        assert row.n_coarse * 2 - row.n_fine in (0, 1)
+        assert row.argmax_lambda > 0.0
+        # regime columns partition the time interval; at centre 0 the middle
+        # window [cap, 1] is [1, 1], under two samples, so it is NaN
+        assert math.isfinite(row.regime_small)
+        assert math.isfinite(row.regime_large)
+        assert math.isnan(row.regime_mid) == (row.atom_center == 0.0)
     assert report.summary["all_converged"]
     assert report.t_max == 20.0
+
+
+def test_sweep_leaves_adaptive_quadrature_unloaded():
+    """Import, the CLI module and a sweep load neither scipy.integrate nor
+    scipy.optimize: the sweep never integrates adaptively.  A fresh
+    interpreter, because this module imports scipy.integrate itself."""
+    src = Path(ou_jump_lab.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import ou_jump_lab as lab\n"
+        "import ou_jump_lab.cli\n"
+        "lab.run_weak_type_sweep(lab.ExperimentConfig(\n"
+        "    atom_radii=(0.5,), points_per_decade=16, backbone_points=3))\n"
+        "print([m for m in ('scipy.integrate', 'scipy.optimize')\n"
+        "       if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_rejects_2d():
