@@ -135,16 +135,22 @@ class ExperimentConfig:
     output_dir: "str | None" = None
 
     def __post_init__(self) -> None:
-        if self.t_min <= 0:
-            raise ValidationError(f"t_min must be positive, got {self.t_min}")
+        if not (math.isfinite(self.t_min) and self.t_min > 0):
+            raise ValidationError(f"t_min must be finite and > 0, got {self.t_min}")
         if self.points_per_decade < 8 or self.regime_points_per_decade < 8:
             raise ValidationError("time grids need at least 8 points per decade")
         if self.lambda_points < 1:
             raise ValidationError("lambda grid needs at least one point")
         if self.rho < 1.0:
             raise ValidationError(f"rho must be >= 1, got {self.rho}")
-        if not self.atom_radii or min(self.atom_radii) <= 0:
-            raise ValidationError("atom radii must be positive")
+        if not 0.0 < self.lambda_span <= 1.0:
+            raise ValidationError(f"lambda_span not in (0, 1]: {self.lambda_span}")
+        if not self.atom_centers or not all(map(math.isfinite, self.atom_centers)):
+            raise ValidationError("need at least one atom center, all finite")
+        for name in ("atom_radii", "ladder_factors"):
+            vals = getattr(self, name)
+            if not vals or not all(math.isfinite(v) and v > 0 for v in vals):
+                raise ValidationError(f"{name} needs one or more finite values > 0")
         if not 0.0 < self.convergence_rtol < 1.0:
             raise ValidationError("convergence_rtol must be in (0, 1)")
 
@@ -352,18 +358,105 @@ def _exact_field(model: OUModel, family: CovarianceFamily, lo: float, hi: float,
     return vals / mass
 
 
-def _window_curves(xs: np.ndarray, ts: np.ndarray, field: np.ndarray,
-                   lo: float, hi: float) -> "list | None":
-    mask = (ts >= lo) & (ts <= hi)
-    if mask.sum() < 2:
-        return None
-    sub_t = ts[mask]
-    return [SampledCurve(sub_t, field[i, mask]) for i in range(xs.size)]
+# ---------------------------------------------------------------------------
+# field measurements: one row path for the sweep and the regime checks
+# ---------------------------------------------------------------------------
+
+_ROW_LAMBDAS_PER_DECADE = 10
 
 
-def _field_seminorm(curves, weights, rho: float, lambdas) -> tuple:
-    est = weak_jump_quasi_seminorm(curves, weights, rho, lambdas)
-    return est.value, est.argmax_lambda
+@dataclass(frozen=True)
+class _FieldMeasure:
+    """A functional of one field on a fine grid and on its nested coarse grid;
+    ``lambdas`` is the fine value's threshold grid (None for V_rho) and
+    ``curves`` the fine curves, for fine-only follow-ups."""
+
+    fine: float
+    coarse: float
+    rel_change: float
+    converged: bool
+    argmax_lambda: float
+    n_fine: int
+    n_coarse: int
+    lambdas: "np.ndarray | None"
+    curves: list
+
+
+def _curves(ts: np.ndarray, field: np.ndarray) -> list:
+    """One SampledCurve per spatial point of a (points x times) field."""
+    return [SampledCurve(ts, row) for row in field]
+
+
+def _variations(curves, rho: float) -> np.ndarray:
+    """V_rho of every curve."""
+    return np.array([rho_variation(c, rho).value for c in curves])
+
+
+def _row_lambda_grid(curves, weights) -> np.ndarray:
+    """Log-spaced jump thresholds covering a field's full amplitude span.
+
+    The default lambda_grid policy anchors at the largest curve range and
+    reaches down a fixed span, which suits the sweep's O(1)-amplitude exact
+    fields.  On a cell window the edge amplitudes run e^{R(x)}-sized while
+    the invariant mass sits at O(1) levels; a grid tied to the top never
+    samples the levels that carry the weak norm, so here both ends track
+    the data (smallest to largest positive amplitude among carried points).
+    """
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    amps = np.array([c.value_range() for c in curves])
+    live = amps[(w > 0.0) & (amps > 0.0)]
+    if live.size == 0:
+        return np.array([1.0])
+    hi = float(live.max())
+    lo = 0.1 * float(live.min())
+    if not lo < hi:
+        return np.array([hi])
+    count = max(
+        40, int(math.ceil(_ROW_LAMBDAS_PER_DECADE * math.log10(hi / lo))) + 1
+    )
+    return np.geomspace(lo, hi, count)
+
+
+def _measure_field(ts: np.ndarray, field: np.ndarray, weights,
+                   config: ExperimentConfig, functional: str = "jumps",
+                   lambdas: str = "coarse", norm: float = 1.0) -> _FieldMeasure:
+    """Measure a field on the fine grid ``ts`` and on its nested coarse grid.
+
+    The coarse grid is every second fine sample, ``field[:, ::2]``.
+    ``functional`` is ``"jumps"`` (weak jump quasi-seminorm of exponent
+    ``config.rho``) or ``"variation"`` (``weights @ V_rho`` divided by
+    ``norm``).  ``lambdas`` picks the jump threshold policy: ``"coarse"``
+    (one lambda_grid from the coarse curves for both densities),
+    ``"per_density"`` (a lambda_grid per density) or ``"row"`` (a
+    _row_lambda_grid per density).
+    """
+    ts_c = ts[::2]
+    both = (_curves(ts, field), _curves(ts_c, field[:, ::2]))
+    if functional == "variation":
+        v_fine, v_coarse = (
+            float(weights @ _variations(c, config.rho)) / norm for c in both
+        )
+        argmax, grid = math.nan, None
+    else:
+        if lambdas == "row":
+            grids = [_row_lambda_grid(c, weights) for c in both]
+        elif lambdas == "per_density":
+            grids = [lambda_grid(c, config.lambda_points, config.lambda_span)
+                     for c in both]
+        else:
+            grids = [lambda_grid(both[1], config.lambda_points, config.lambda_span)] * 2
+        est, est_c = (
+            weak_jump_quasi_seminorm(c, weights, config.rho, g)
+            for c, g in zip(both, grids)
+        )
+        v_fine, v_coarse = est.value, est_c.value
+        argmax, grid = est.argmax_lambda, grids[0]
+    rel = abs(v_fine - v_coarse) / max(abs(v_fine), 1e-300)
+    return _FieldMeasure(
+        fine=v_fine, coarse=v_coarse, rel_change=rel,
+        converged=rel <= config.convergence_rtol, argmax_lambda=argmax,
+        n_fine=ts.size, n_coarse=ts_c.size, lambdas=grid, curves=both[0],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +570,6 @@ def run_weak_type_sweep(config: ExperimentConfig) -> WeakTypeReport:
             f"t_max = {t_max:g} does not reach equilibrium (gap {eq_gap:.3e})"
         )
     ts_fine = _time_grid(config.t_min, t_max, config.points_per_decade)
-    ts_coarse = ts_fine[::2]
 
     atoms = [
         (float(c), float(r))
@@ -491,44 +583,25 @@ def run_weak_type_sweep(config: ExperimentConfig) -> WeakTypeReport:
         lo, hi = center - radius, center + radius
         mass = gamma.interval_mass(lo, hi)
         xs, weights = _spatial_grid(config, family, center, radius)
-        field_fine = _exact_field(model, family, lo, hi, mass, xs, ts_fine)
-        field_coarse = field_fine[:, ::2]
-        curves_fine = [SampledCurve(ts_fine, field_fine[i]) for i in range(xs.size)]
-        curves_coarse = [
-            SampledCurve(ts_coarse, field_coarse[i]) for i in range(xs.size)
-        ]
-        lambdas = lambda_grid(curves_coarse, config.lambda_points, config.lambda_span)
-        j_fine, argmax_lam = _field_seminorm(curves_fine, weights, config.rho, lambdas)
-        j_coarse, _ = _field_seminorm(curves_coarse, weights, config.rho, lambdas)
-        rel = abs(j_fine - j_coarse) / max(abs(j_fine), 1e-300)
+        field = _exact_field(model, family, lo, hi, mass, xs, ts_fine)
+        m = _measure_field(ts_fine, field, weights, config)
         cap = min(1.0, 1.0 / (center * center)) if center != 0.0 else 1.0
         regime_vals = []
         for wlo, whi in ((config.t_min, cap), (cap, 1.0), (1.0, t_max)):
-            sub = _window_curves(xs, ts_fine, field_fine, wlo, whi)
-            if sub is None:
-                # under 2 samples, e.g. [cap, 1] = [1, 1] when |centre| <= 1
-                regime_vals.append(math.nan)
-                continue
-            val, _ = _field_seminorm(sub, weights, config.rho, lambdas)
+            mask = (ts_fine >= wlo) & (ts_fine <= whi)
+            val = math.nan  # under 2 samples: [cap, 1] = [1, 1] when |centre| <= 1
+            if mask.sum() >= 2:
+                sub = _curves(ts_fine[mask], field[:, mask])
+                val = weak_jump_quasi_seminorm(sub, weights, config.rho,
+                                               m.lambdas).value
             regime_vals.append(val)
-        var_field = np.array(
-            [rho_variation(c, 2.0).value for c in curves_fine]
-        )
-        var2 = weak_quasinorm(var_field, weights)
         return WeakTypeRow(
-            atom_center=center,
-            atom_radius=radius,
-            j_fine=j_fine,
-            j_coarse=j_coarse,
-            rel_change=rel,
-            converged=rel <= config.convergence_rtol,
-            argmax_lambda=argmax_lam,
-            regime_small=regime_vals[0],
-            regime_mid=regime_vals[1],
-            regime_large=regime_vals[2],
-            var2_weak=var2,
-            n_fine=ts_fine.size,
-            n_coarse=ts_coarse.size,
+            atom_center=center, atom_radius=radius, j_fine=m.fine,
+            j_coarse=m.coarse, rel_change=m.rel_change, converged=m.converged,
+            argmax_lambda=m.argmax_lambda, regime_small=regime_vals[0],
+            regime_mid=regime_vals[1], regime_large=regime_vals[2],
+            var2_weak=weak_quasinorm(_variations(m.curves, 2.0), weights),
+            n_fine=m.n_fine, n_coarse=m.n_coarse,
         )
 
     rows = [one_atom(a) for a in atoms]
@@ -549,7 +622,7 @@ def run_weak_type_sweep(config: ExperimentConfig) -> WeakTypeReport:
         "all_converged": all(r.converged for r in rows),
         "n_atoms": len(rows),
         "n_t_fine": int(ts_fine.size),
-        "n_t_coarse": int(ts_coarse.size),
+        "n_t_coarse": int(ts_fine[::2].size),
     }
     report = WeakTypeReport(
         config=config,
@@ -692,29 +765,6 @@ def _lebesgue_weights_1d(pts: np.ndarray) -> np.ndarray:
     return np.diff(_clipped_voronoi_edges(pts))
 
 
-def _row_lambda_grid(curves, weights, per_decade: int = 10) -> np.ndarray:
-    """Log-spaced jump thresholds covering a field's full amplitude span.
-
-    The default lambda_grid policy anchors at the largest curve range and
-    reaches down a fixed span, which suits the sweep's O(1)-amplitude exact
-    fields.  On a cell window the edge amplitudes run e^{R(x)}-sized while
-    the invariant mass sits at O(1) levels; a grid tied to the top never
-    samples the levels that carry the weak norm, so here both ends track
-    the data (smallest to largest positive amplitude among carried points).
-    """
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    amps = np.array([c.value_range() for c in curves])
-    live = amps[(w > 0.0) & (amps > 0.0)]
-    if live.size == 0:
-        return np.array([1.0])
-    hi = float(live.max())
-    lo = 0.1 * float(live.min())
-    if not lo < hi:
-        return np.array([hi])
-    count = max(40, int(math.ceil(per_decade * math.log10(hi / lo))) + 1)
-    return np.geomspace(lo, hi, count)
-
-
 def _invariant_window_weights_1d(family: CovarianceFamily,
                                  pts: np.ndarray) -> np.ndarray:
     """Invariant masses of the Voronoi cells of ``pts``, clipped to the window.
@@ -769,21 +819,12 @@ def run_regime_checks(config: ExperimentConfig) -> RegimeReport:
 
     rows: list = []
 
-    def add_row(group, cell, detail, fine, coarse, n_fine, n_coarse):
-        rel = abs(fine - coarse) / max(abs(fine), 1e-300)
-        rows.append(
-            RegimeRow(
-                group=group,
-                cell=cell,
-                detail=detail,
-                ratio_fine=fine,
-                ratio_coarse=coarse,
-                rel_change=rel,
-                converged=rel <= config.convergence_rtol,
-                n_fine=n_fine,
-                n_coarse=n_coarse,
-            )
-        )
+    def add_row(group, cell, detail, m: _FieldMeasure):
+        rows.append(RegimeRow(
+            group=group, cell=cell, detail=detail, ratio_fine=m.fine,
+            ratio_coarse=m.coarse, rel_change=m.rel_change, converged=m.converged,
+            n_fine=m.n_fine, n_coarse=m.n_coarse,
+        ))
 
     # --- shared backbone field rows (exact route, full semigroup) ---------
     backbone = np.linspace(
@@ -794,36 +835,25 @@ def run_regime_checks(config: ExperimentConfig) -> RegimeReport:
     mass0 = gamma.interval_mass(-radius0, radius0)
     w_back = _grid_weights_1d(family, backbone)
 
-    ts_large_f = _time_grid(1.0, t_max, config.regime_points_per_decade)
-    ts_large_c = ts_large_f[::2]
-    vals = {}
-    for tag, ts in (("fine", ts_large_f), ("coarse", ts_large_c)):
-        fieldv = _exact_field(model, family, -radius0, radius0, mass0, backbone, ts)
-        curves = [SampledCurve(ts, fieldv[i]) for i in range(backbone.size)]
-        lambdas = lambda_grid(curves, config.lambda_points, config.lambda_span)
-        vals[tag], _ = _field_seminorm(curves, w_back, config.rho, lambdas)
+    # the exact field is elementwise in t, so its coarse half is a slice
+    ts_large = _time_grid(1.0, t_max, config.regime_points_per_decade)
+    field_large = _exact_field(model, family, -radius0, radius0, mass0, backbone,
+                               ts_large)
     add_row("large_time_jumps", -1, "full semigroup on [1 .. t_max]",
-            vals["fine"], vals["coarse"], ts_large_f.size, ts_large_c.size)
+            _measure_field(ts_large, field_large, w_back, config,
+                           lambdas="per_density"))
 
     # --- global remainder at small times (quadrature route) ---------------
     # Smooth bump rather than an indicator: the remainder field is computed by
     # Gaussian quadrature, and a discontinuous integrand would alias node
     # crossings into spurious jumps of the time curve.
     atom0 = _smooth_atom(family, scheme.centers[0], 0.25)
-    ts_glob_f = _time_grid(config.t_min, 1.0, config.regime_points_per_decade)
-    ts_glob_c = ts_glob_f[::2]
-    xs_glob = backbone[:, None]
-    field_glob = _global_field(model, family, scheme, atom0, xs_glob, ts_glob_f, quad)
-    vals = {}
-    for tag, ts, fieldv in (
-        ("fine", ts_glob_f, field_glob),
-        ("coarse", ts_glob_c, field_glob[:, ::2]),
-    ):
-        curves = [SampledCurve(ts, fieldv[i]) for i in range(backbone.size)]
-        lambdas = lambda_grid(curves, config.lambda_points, config.lambda_span)
-        vals[tag], _ = _field_seminorm(curves, w_back, config.rho, lambdas)
+    ts_glob = _time_grid(config.t_min, 1.0, config.regime_points_per_decade)
+    field_glob = _global_field(model, family, scheme, atom0, backbone[:, None],
+                               ts_glob, quad)
     add_row("global_small_time_jumps", -1, "global remainder on (t_min .. 1]",
-            vals["fine"], vals["coarse"], ts_glob_f.size, ts_glob_c.size)
+            _measure_field(ts_glob, field_glob, w_back, config,
+                           lambdas="per_density"))
 
     # --- cell-local operator rows ------------------------------------------
     # Two normalizations, matching the two shapes of cell estimate.  The
@@ -843,66 +873,34 @@ def run_regime_checks(config: ExperimentConfig) -> RegimeReport:
             continue
         width = 0.5 * rho_j
         atom = _smooth_atom(family, center, width)
+        detail = f"center {float(center[0])!r}"
         # cell-local spatial grid inside the plateau support
         offs = np.array([-5.5, -4.0, -2.5, -1.5, -0.75, -0.25, 0.0,
                          0.25, 0.75, 1.5, 2.5, 4.0, 5.5])
         xs_cell = (float(center[0]) + offs * rho_j)[:, None]
         wg_cell = _invariant_window_weights_1d(family, xs_cell[:, 0])
 
-        ts_short_f = _time_grid(config.t_min, cap, config.regime_points_per_decade)
-        ts_short_c = ts_short_f[::2]
-        fields = _cell_field(model, family, scheme, j, atom, xs_cell, ts_short_f, quad)
-
+        ts_short = _time_grid(config.t_min, cap, config.regime_points_per_decade)
+        fields = _cell_field(model, family, scheme, j, atom, xs_cell, ts_short, quad)
         for kappa in (1, 2, 3):
-            key = f"delta{kappa}"
-            vv = {}
-            for tag, ts, fv in (
-                ("fine", ts_short_f, fields[key]),
-                ("coarse", ts_short_c, fields[key][:, ::2]),
-            ):
-                var = np.array(
-                    [rho_variation(SampledCurve(ts, fv[i]), config.rho).value
-                     for i in range(xs_cell.shape[0])]
-                )
-                vv[tag] = float(wg_cell @ var)
-            add_row(f"difference_op_var_k{kappa}", j,
-                    f"center {float(center[0])!r}", vv["fine"], vv["coarse"],
-                    ts_short_f.size, ts_short_c.size)
-
-        vv = {}
-        for tag, ts, fv in (
-            ("fine", ts_short_f, fields["main"]),
-            ("coarse", ts_short_c, fields["main"][:, ::2]),
-        ):
-            curves = [SampledCurve(ts, fv[i]) for i in range(xs_cell.shape[0])]
-            lambdas = _row_lambda_grid(curves, wg_cell)
-            val, _ = _field_seminorm(curves, wg_cell, config.rho, lambdas)
-            vv[tag] = val
-        add_row("main_op_weak_jumps", j, f"center {float(center[0])!r}",
-                vv["fine"], vv["coarse"], ts_short_f.size, ts_short_c.size)
+            add_row(f"difference_op_var_k{kappa}", j, detail,
+                    _measure_field(ts_short, fields[f"delta{kappa}"], wg_cell,
+                                   config, functional="variation"))
+        add_row("main_op_weak_jumps", j, detail,
+                _measure_field(ts_short, fields["main"], wg_cell, config,
+                               lambdas="row"))
 
         # intermediate window: only meaningful for cells away from the origin
         if cap < 1.0:
-            wl_cell = _lebesgue_weights_1d(xs_cell[:, 0])
-            atom_l1 = _lebesgue_l1_1d(atom, float(center[0]), width)
-            ts_mid_f = _time_grid(cap, 1.0, config.regime_points_per_decade)
-            ts_mid_c = ts_mid_f[::2]
+            ts_mid = _time_grid(cap, 1.0, config.regime_points_per_decade)
             field_mid = _cell_field(
-                model, family, scheme, j, atom, xs_cell, ts_mid_f, quad
+                model, family, scheme, j, atom, xs_cell, ts_mid, quad
             )["h_local"]
-            vv = {}
-            for tag, ts, fv in (
-                ("fine", ts_mid_f, field_mid),
-                ("coarse", ts_mid_c, field_mid[:, ::2]),
-            ):
-                var = np.array(
-                    [rho_variation(SampledCurve(ts, fv[i]), config.rho).value
-                     for i in range(xs_cell.shape[0])]
-                )
-                vv[tag] = float(wl_cell @ var) / atom_l1
-            add_row("localized_var_mid_window", j,
-                    f"center {float(center[0])!r}", vv["fine"], vv["coarse"],
-                    ts_mid_f.size, ts_mid_c.size)
+            atom_l1 = _lebesgue_l1_1d(atom, float(center[0]), width)
+            add_row("localized_var_mid_window", j, detail, _measure_field(
+                ts_mid, field_mid, _lebesgue_weights_1d(xs_cell[:, 0]), config,
+                functional="variation", norm=atom_l1,
+            ))
 
     # Spread policy: the mid-window and main-operator groups make genuinely
     # uniform-in-cell claims, so they carry the factor-10 gate.  The

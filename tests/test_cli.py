@@ -172,6 +172,17 @@ def test_unknown_config_key_is_exit_1(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+def test_bad_config_value_is_exit_1_without_artifacts(capsys, tmp_path):
+    # rejected when the config is built, before any subcommand does work
+    outdir = tmp_path / "runs"
+    code, _, err = _run(
+        capsys, "model-info", "--set", "ladder_factors=[0]", "--outdir", str(outdir)
+    )
+    assert code == 1
+    assert "ladder_factors" in err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_config_file_and_override(capsys, tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"seed": 11, "omega": 2.0}), encoding="utf-8")

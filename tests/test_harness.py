@@ -6,6 +6,7 @@ the injected kernel perturbation must turn exactly the telescoping rows red.
 Reports rendered twice from one config must agree byte for byte.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -39,9 +40,11 @@ from ou_jump_lab import (
     main_op,
     mixing_time,
     monomial,
+    rho_variation,
     run_identity_suite,
     run_regime_checks,
     run_weak_type_sweep,
+    weak_jump_quasi_seminorm,
 )
 from ou_jump_lab.harness import (
     WeakTypeRow,
@@ -49,6 +52,7 @@ from ou_jump_lab.harness import (
     _exact_field,
     _global_field,
     _invariant_window_weights_1d,
+    _measure_field,
     _row_lambda_grid,
     _smooth_atom,
     _time_grid,
@@ -78,6 +82,28 @@ def test_config_validation():
         ExperimentConfig(atom_radii=(0.5, -0.1))
     with pytest.raises(ValidationError):
         ExperimentConfig(convergence_rtol=1.5)
+
+
+@pytest.mark.parametrize("bad", [
+    {"ladder_factors": (0.0,)},           # the ladder doubling would never end
+    {"ladder_factors": (1.0, -1.0)},
+    {"ladder_factors": ()},
+    {"ladder_factors": (math.inf,)},
+    {"atom_centers": ()},
+    {"atom_centers": (0.0, math.nan)},
+    {"atom_radii": (math.nan,)},
+    {"lambda_span": 0.0},
+    {"lambda_span": 1.5},
+    {"lambda_span": math.nan},
+    {"t_min": math.nan},
+    {"t_min": math.inf},
+])
+def test_config_rejects_inputs_that_fail_later(bad):
+    with pytest.raises(ValidationError):
+        ExperimentConfig(**bad)
+    with pytest.raises(ValidationError):
+        ExperimentConfig.from_dict({k: list(v) if isinstance(v, tuple) else v
+                                    for k, v in bad.items()})
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -181,6 +207,76 @@ def test_row_lambda_grid_tracks_data():
     # zero-weight curves do not steer the grid
     solo = _row_lambda_grid([small, big], [0.0, 1.0])
     assert solo[0] == pytest.approx(20.0)
+
+
+def _synthetic_field():
+    """Five points by 41 times (odd, so the coarse grid keeps both ends).
+    Row 0 spikes at odd index 7, which only the fine grid sees, so the fine
+    and coarse lambda grids differ; row amplitudes span 0.01 to 2."""
+    ts = np.geomspace(1e-3, 10.0, 41)
+    rng = np.random.default_rng(5)
+    field = np.sin(np.outer(np.arange(1, 6), np.log(ts)))
+    field *= np.array([1.0, 0.3, 0.1, 0.01, 2.0])[:, None]
+    field += 0.05 * rng.normal(size=field.shape)
+    field[0, 7] += 6.0
+    weights = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+    return ts, field, weights
+
+
+def _inline_row(ts, field, weights, cfg, policy, norm=1.0):
+    """The fine/coarse arithmetic each harness row used to do inline."""
+    ts_c = ts[::2]
+    fine = [SampledCurve(ts, field[i]) for i in range(field.shape[0])]
+    coarse = [SampledCurve(ts_c, field[i, ::2]) for i in range(field.shape[0])]
+    if policy == "variation":
+        vals = []
+        for curves in (fine, coarse):
+            var = np.array([rho_variation(c, cfg.rho).value for c in curves])
+            vals.append(float(weights @ var) / norm)
+        argmax, grid = math.nan, None
+    else:
+        if policy == "coarse":
+            shared = lambda_grid(coarse, cfg.lambda_points, cfg.lambda_span)
+            grids = [shared, shared]
+        elif policy == "per_density":
+            grids = [lambda_grid(c, cfg.lambda_points, cfg.lambda_span)
+                     for c in (fine, coarse)]
+        else:
+            grids = [_row_lambda_grid(c, weights) for c in (fine, coarse)]
+        ests = [weak_jump_quasi_seminorm(c, weights, cfg.rho, g)
+                for c, g in zip((fine, coarse), grids)]
+        vals = [e.value for e in ests]
+        argmax, grid = ests[0].argmax_lambda, grids[0]
+    rel = abs(vals[0] - vals[1]) / max(abs(vals[0]), 1e-300)
+    return vals, rel, rel <= cfg.convergence_rtol, argmax, grid, ts.size, ts_c.size
+
+
+@pytest.mark.parametrize("policy", ["coarse", "per_density", "row", "variation"])
+def test_row_path_matches_inline_arithmetic(policy):
+    ts, field, weights = _synthetic_field()
+    cfg = ExperimentConfig(lambda_points=12, lambda_span=1e-3, convergence_rtol=0.3)
+    if policy == "variation":
+        norm = 0.7
+        m = _measure_field(ts, field, weights, cfg, functional="variation",
+                           norm=norm)
+    else:
+        norm = 1.0
+        m = _measure_field(ts, field, weights, cfg, lambdas=policy)
+    vals, rel, converged, argmax, grid, n_fine, n_coarse = _inline_row(
+        ts, field, weights, cfg, policy, norm
+    )
+    assert (m.fine, m.coarse, m.rel_change, m.converged) == (*vals, rel, converged)
+    assert (m.n_fine, m.n_coarse) == (n_fine, n_coarse) == (41, 21)
+    if grid is None:
+        assert m.lambdas is None and math.isnan(m.argmax_lambda)
+    else:
+        assert np.array_equal(m.lambdas, grid)
+        assert m.argmax_lambda == argmax
+    if policy == "coarse":
+        # the fine-only spike lies above the shared grid
+        assert m.lambdas[-1] < np.ptp(field, axis=1).max()
+    assert [c.values.tolist() for c in m.curves] == field.tolist()
+    assert all(np.array_equal(c.times, ts) for c in m.curves)
 
 
 def test_exact_field_matches_adaptive_kernel_route():
@@ -390,6 +486,10 @@ def test_regime_checks_reduced(tmp_path):
         regime_points_per_decade=48, quad_order=32, output_dir=str(tmp_path)
     )
     report = run_regime_checks(cfg)
+    rerun = tmp_path / "rerun"
+    run_regime_checks(dataclasses.replace(cfg, output_dir=str(rerun)))
+    for name in ("regime_rows.csv", "regime_summary.json"):
+        assert (tmp_path / name).read_bytes() == (rerun / name).read_bytes(), name
     groups = {r.group for r in report.rows}
     assert {
         "large_time_jumps", "global_small_time_jumps", "main_op_weak_jumps",
