@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -135,6 +136,7 @@ class ExperimentConfig:
     output_dir: "str | None" = None
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not (math.isfinite(self.t_min) and self.t_min > 0):
             raise ValidationError(f"t_min must be finite and > 0, got {self.t_min}")
         if self.points_per_decade < 8 or self.regime_points_per_decade < 8:
@@ -153,6 +155,14 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} needs one or more finite values > 0")
         if not 0.0 < self.convergence_rtol < 1.0:
             raise ValidationError("convergence_rtol must be in (0, 1)")
+        if not (math.isfinite(self.backbone_halfwidth) and self.backbone_halfwidth > 0):
+            raise ValidationError(
+                f"backbone_halfwidth must be finite and > 0, got {self.backbone_halfwidth}"
+            )
+        if self.backbone_points < 2:
+            raise ValidationError(
+                f"backbone_points must be >= 2, got {self.backbone_points}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -181,6 +191,44 @@ class ExperimentConfig:
 
     def quad(self) -> QuadratureSpec:
         return QuadratureSpec(order=self.quad_order, domain_cutoff=self.quad_cutoff)
+
+
+_INT_FIELDS = ("n", "points_per_decade", "regime_points_per_decade",
+               "lambda_points", "backbone_points", "quad_order", "seed")
+_REAL_FIELDS = ("omega", "t_min", "lambda_span", "rho", "backbone_halfwidth",
+                "quad_cutoff", "convergence_rtol", "lattice_step")
+_REAL_LIST_FIELDS = ("box", "q", "b", "atom_centers", "atom_radii",
+                     "ladder_factors", "regime_cell_targets")
+_OPTIONAL_FIELDS = ("lattice_step", "q", "b")
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
+def _leaves(val):
+    if isinstance(val, (list, tuple)):
+        for v in val:
+            yield from _leaves(v)
+    else:
+        yield val
+
+
+def _check_field_types(config: ExperimentConfig) -> None:
+    """Integers where counts go, numbers (never booleans) where values go."""
+    for name in _INT_FIELDS:
+        val = getattr(config, name)
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {val!r}")
+    for name in _REAL_FIELDS + _REAL_LIST_FIELDS:
+        val = getattr(config, name)
+        if val is None and name in _OPTIONAL_FIELDS:
+            continue
+        if name in _REAL_FIELDS:
+            if not _is_real(val):
+                raise ValidationError(f"{name} must be a number, got {val!r}")
+        elif not (isinstance(val, (list, tuple)) and all(map(_is_real, _leaves(val)))):
+            raise ValidationError(f"{name} must be a list of numbers, got {val!r}")
 
 
 def _deep_tuple(val):

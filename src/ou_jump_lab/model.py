@@ -9,19 +9,17 @@ where ``Q`` (the diffusion matrix) is symmetric positive definite and ``B``
 module owns:
 
 * input validation and the two built-in presets,
-* an in-house scaling-and-squaring matrix exponential,
-* the time-t covariance Q_t (block-exponential method), the equilibrium
-  covariance Q_inf (scipy's Lyapunov solve), and the covariance family that
-  owns every value derived from them,
+* the time-t covariance Q_t, the equilibrium covariance Q_inf, and the
+  covariance family that owns every value derived from them,
 * the quadratic form R, Gaussian densities in log space, and the
   invariant measure.
 
-The matrix exponential stays in-house on accuracy, not to avoid scipy: on
-the block matrix behind Q_t, ``scipy.linalg.expm`` loses Q_t to a relative
-error of 4.2e-5 at t = 10 on a non-normal 2-d model, where the Pade rule
-here stays at 5.3e-13 (``test_cov_qt_matches_lyapunov_difference`` pins
-this).  Matrices are small (desk scale, n <= 3 in practice) so clarity
-beats asymptotics throughout.
+Every matrix exponential is ``scipy.linalg.expm`` and Q_inf is scipy's
+Lyapunov solve.  Q_t takes Van Loan's block exponential only where
+t * ||B||_1 <= 1 and Q_inf - e^{tB} Q_inf e^{tB}^T elsewhere, so no
+anti-stable factor is ever exponentiated over a long time and Q_t stays
+accurate on non-normal drifts out to the 1e3 clamp.  Matrices are small
+(desk scale, n <= 3 in practice) so clarity beats asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.special import ndtr
 
 from .errors import (
@@ -201,89 +199,34 @@ def _as_matrix(data, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential (scaling and squaring, degree-13 diagonal Pade)
+# matrix exponential and covariances
 # ---------------------------------------------------------------------------
 
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential e^A.
-
-    Degree-13 diagonal Pade approximant with scaling and squaring; the
-    scaling threshold is the usual double-precision theta_13.  Matches
-    ``scipy.linalg.expm`` to machine precision on well-conditioned input
-    (the test suite pins this).  It is kept instead of ``expm`` because
-    ``cov_qt`` exponentiates a block matrix whose anti-stable corner grows
-    like e^{t|B|}: on a non-normal 2-d model ``expm`` gives Q_t a relative
-    error of 4.2e-5 at t = 10 and trips the symmetry gate, this rule 5.3e-13.
-    """
+    """Matrix exponential e^A of a square matrix, by ``scipy.linalg.expm``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix_exp needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a, 1))
-    squarings = 0
-    if norm > _PADE13_THETA and np.isfinite(norm):
-        squarings = max(0, int(math.ceil(math.log2(norm / _PADE13_THETA))))
-        a = a / (2.0 ** squarings)
-    b = _PADE13
-    ident = np.eye(n)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    try:
-        r = np.linalg.solve(v - u, v + u)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"Pade denominator singular: {exc}") from None
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    return expm(a)
 
-
-# ---------------------------------------------------------------------------
-# covariances
-# ---------------------------------------------------------------------------
 
 def cov_qt(model: OUModel, t: float) -> np.ndarray:
-    """Covariance of the time-t marginal started from a point.
+    """Covariance Q_t = int_0^t e^{sB} Q e^{sB^T} ds of the time-t marginal.
 
-    Computed with the block-exponential method: exponentiating
+    Two routes, chosen from t * ||B||_1 alone:
 
-        M = [[B, Q], [0, -B^T]] * t
-
-    yields ``[[F11, G], [0, F22]]`` with ``F11 = e^{tB}`` and
-    ``G = int_0^t e^{(t-s)B} Q e^{-s B^T} ds``, so ``Q_t = G @ F11^T``.
-    One exponential per call, no quadrature.
+    * ``t ||B||_1 <= 1``: exponentiate Van Loan's block
+      ``M = [[B, Q], [0, -B^T]] * t``, which yields ``[[F11, G], [0, F22]]``
+      with ``F11 = e^{tB}`` and ``G = int_0^t e^{(t-s)B} Q e^{-s B^T} ds``,
+      so ``Q_t = G @ F11^T``.  Its anti-stable corner grows like e^{t|B|},
+      which is harmless only while t ||B|| is of order one.
+    * otherwise: ``Q_t = Q_inf - e^{tB} Q_inf e^{tB}^T``, which exponentiates
+      only the stable drift.  The difference loses relative accuracy only as
+      t -> 0, where the block route takes over.
 
     ``t = 0`` returns the zero matrix, ``t = inf`` returns the equilibrium
     covariance.  Times beyond 1e3 raise :class:`NonFinite` (documented
-    clamp: the anti-stable block ``e^{t B^T}`` overflows double precision
-    long before that and the equilibrium limit should be used instead).
+    clamp: use the equilibrium covariance there).
     """
     t = float(t)
     if t < 0.0:
@@ -298,15 +241,19 @@ def cov_qt(model: OUModel, t: float) -> np.ndarray:
             f"t = {t:g} exceeds the documented clamp {_TIME_CLAMP:g}; "
             "use the equilibrium covariance for large times"
         )
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = model.drift
-    block[:n, n:] = model.diffusion
-    block[n:, n:] = -model.drift.T
-    with np.errstate(over="ignore", invalid="ignore"):
+    if t * float(np.linalg.norm(model.drift, 1)) <= 1.0:
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n] = model.drift
+        block[:n, n:] = model.diffusion
+        block[n:, n:] = -model.drift.T
         f = matrix_exp(block * t)
-    if not np.isfinite(f).all():
-        raise NonFinite(f"block exponential overflowed at t = {t:g}")
-    qt = f[:n, n:] @ f[:n, :n].T
+        qt = f[:n, n:] @ f[:n, :n].T
+    else:
+        qinf = _lyapunov_qinf(model)
+        e = matrix_exp(model.drift * t)
+        qt = qinf - e @ qinf @ e.T
+    if not np.isfinite(qt).all():
+        raise NonFinite(f"covariance overflowed at t = {t:g}")
     scale = max(1.0, float(np.abs(qt).max()))
     asym = float(np.abs(qt - qt.T).max())
     if asym > _QT_SYM_TOL * scale:
@@ -434,12 +381,11 @@ def _chol_inverse(chol: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def cov_qinf(model: OUModel) -> CovarianceFamily:
-    """Equilibrium covariance family.
+def _lyapunov_qinf(model: OUModel) -> np.ndarray:
+    """Q_inf from drift X + X drift^T = -diffusion, residual-checked.
 
-    Solves the continuous Lyapunov equation drift X + X drift^T =
-    -diffusion (scipy's Schur-based solver) and verifies the residual
-    against 1e-10 * ||diffusion||_F before accepting the solution.
+    scipy's Schur-based solve, symmetrized; the residual must stay within
+    1e-10 * ||diffusion||_F before the solution is accepted.
     """
     try:
         x = solve_continuous_lyapunov(model.drift, -model.diffusion)
@@ -453,6 +399,12 @@ def cov_qinf(model: OUModel) -> CovarianceFamily:
         raise SolveFailure(
             f"Lyapunov residual {res_norm:.3e} exceeds gate {gate:.3e}"
         )
+    return qinf
+
+
+def cov_qinf(model: OUModel) -> CovarianceFamily:
+    """Equilibrium covariance family built on the residual-checked Q_inf."""
+    qinf = _lyapunov_qinf(model)
     try:
         chol = np.linalg.cholesky(qinf)
     except np.linalg.LinAlgError:

@@ -183,6 +183,20 @@ def test_bad_config_value_is_exit_1_without_artifacts(capsys, tmp_path):
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
+@pytest.mark.parametrize("override", [
+    'lambda_span="abc"', 't_min="x"', 'rho="2"', 'convergence_rtol="a"',
+    'atom_centers=[0,"a"]', "lambda_points=1.5",
+])
+def test_wrong_type_override_is_exit_1_without_artifacts(capsys, tmp_path, override):
+    outdir = tmp_path / "runs"
+    code, _, err = _run(
+        capsys, "weak-type", "--set", override, "--outdir", str(outdir)
+    )
+    assert code == 1
+    assert override.split("=")[0] in err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_config_file_and_override(capsys, tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"seed": 11, "omega": 2.0}), encoding="utf-8")

@@ -97,6 +97,12 @@ def test_config_validation():
     {"lambda_span": math.nan},
     {"t_min": math.nan},
     {"t_min": math.inf},
+    {"backbone_halfwidth": -1.0},        # linspace(-h, h) would run backwards
+    {"backbone_halfwidth": 0.0},
+    {"backbone_halfwidth": math.inf},
+    {"backbone_halfwidth": math.nan},
+    {"backbone_points": 0},
+    {"backbone_points": 1},
 ])
 def test_config_rejects_inputs_that_fail_later(bad):
     with pytest.raises(ValidationError):
@@ -104,6 +110,33 @@ def test_config_rejects_inputs_that_fail_later(bad):
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({k: list(v) if isinstance(v, tuple) else v
                                     for k, v in bad.items()})
+
+
+@pytest.mark.parametrize("bad", [
+    {"lambda_span": "abc"},
+    {"t_min": "x"},
+    {"rho": "2"},
+    {"rho": True},
+    {"convergence_rtol": "a"},
+    {"atom_centers": (0, "a")},
+    {"atom_radii": 0.5},
+    {"box": ((-6.0, "6"),)},
+    {"lattice_step": "0.1"},
+    {"lambda_points": 1.5},
+    {"seed": True},
+    {"n": "1"},
+])
+def test_config_rejects_values_of_the_wrong_type(bad):
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        ExperimentConfig(**bad)
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        ExperimentConfig.from_dict({k: list(v) if isinstance(v, tuple) else v
+                                    for k, v in bad.items()})
+
+
+def test_config_accepts_integers_in_float_fields():
+    cfg = ExperimentConfig(t_min=1, rho=2, atom_centers=(0, 2), box=((-6, 6),))
+    assert cfg.rho == 2
 
 
 def test_config_from_dict_rejects_unknown_keys():

@@ -1,11 +1,11 @@
 """Model layer: presets, covariance family, flows, Gaussian measures.
 
 Every derived quantity is checked against an independent oracle: matrix
-exponentials against scipy.linalg.expm, the stationary covariance against a
+exponentials against closed forms, the stationary covariance against a
 Kronecker-form Lyapunov solve and its residual, the finite-time covariance
-against direct quadrature of its defining integral and against
-Q_inf - e^{tB} Q_inf e^{tB}^T, and the closed forms available for both
-presets.
+against direct quadrature of its defining integral (entry by entry, and as
+one ``quad_vec`` integral out to 20 mixing times on non-normal drifts), and
+the closed forms available for both presets.
 """
 
 import math
@@ -119,6 +119,11 @@ def test_matrix_exp_diagonal_closed_form():
     assert np.allclose(matrix_exp(d), np.diag(np.exp([0.3, -1.7])), atol=1e-15)
 
 
+def test_matrix_exp_rejects_non_square():
+    with pytest.raises(ValidationError):
+        matrix_exp(np.ones((2, 3)))
+
+
 def test_matrix_exp_nilpotent():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(matrix_exp(a), np.array([[1.0, 1.0], [0.0, 1.0]]),
@@ -200,22 +205,42 @@ def _three_models():
             validate_model(q, _random_hurwitz(rng, 2))]
 
 
-def test_cov_qt_matches_lyapunov_difference():
-    """Q_t = Q_inf - e^{tB} Q_inf e^{tB}^T out to t = 10.
+def _stiff_models():
+    """Rates 50x apart, a non-normal drift, and the a = 30 shear."""
+    return [validate_model(np.eye(2), np.diag([-1.0, -50.0])),
+            validate_model(np.eye(2), [[-0.5, 8.0], [0.0, -3.0]]),
+            validate_model(np.eye(2), [[-1.0, 30.0], [0.0, -1.0]])]
 
-    This pins why ``matrix_exp`` is the in-house Pade rule: with
-    ``scipy.linalg.expm`` on the block matrix, the random model's Q_t is off
-    by 4.2e-5 at t = 10 and fails the symmetry gate; the Pade rule's worst
-    case here is 5.3e-13.
+
+def test_cov_qt_matches_integral_out_to_t20():
+    """Q_t against a ``quad_vec`` integral of e^{sB} Q e^{sB^T} over [0, t].
+
+    The times cover both routes of ``cov_qt`` (block exponential at small
+    t ||B||_1, Lyapunov difference elsewhere) and reach t = 20.
     """
-    for model in _three_models():
-        qinf = scipy.linalg.solve_continuous_lyapunov(model.drift, -model.diffusion)
-        qinf = 0.5 * (qinf + qinf.T)
-        for t in (0.5, 1.0, 3.0, 10.0):
-            etb = scipy.linalg.expm(t * model.drift)
-            ref = qinf - etb @ qinf @ etb.T
+    for model in _three_models() + _stiff_models():
+        b, q = model.drift, model.diffusion
+
+        def integrand(s):
+            e = scipy.linalg.expm(s * b)
+            return e @ q @ e.T
+
+        for t in (1e-6, 1e-3, 0.02, 0.1, 0.5, 1.0, 3.0, 10.0, 20.0):
+            ref, _ = scipy.integrate.quad_vec(
+                integrand, 0.0, t, epsabs=0.0, epsrel=1e-14, norm="max", limit=2000
+            )
             err = np.abs(cov_qt(model, t) - ref).max() / np.abs(ref).max()
-            assert err <= 1e-10, (model.n, t, err)
+            assert err <= 1e-10, (b.tolist(), t, err)
+
+
+@pytest.mark.parametrize("t", [100.0, 709.0, 1000.0])
+def test_cov_qt_finite_and_positive_definite_up_to_clamp(t):
+    models = [preset_standard(), preset_rotating2d()] + _stiff_models()[:2]
+    for model in models:
+        qt = cov_qt(model, t)
+        assert np.isfinite(qt).all(), (model.drift.tolist(), t)
+        assert np.array_equal(qt, qt.T)
+        assert np.linalg.eigvalsh(qt).min() > 0.0, (model.drift.tolist(), t)
 
 
 # ---------------------------------------------------------------------------
