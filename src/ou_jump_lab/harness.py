@@ -312,7 +312,8 @@ def _smooth_atom(family: CovarianceFamily, center: np.ndarray,
     The mass is integrated over the atom's own support rather than by the
     field quadrature rule: a narrow bump far from the origin falls between
     the nodes of any fixed Gaussian rule, and a mass that is off by an order
-    of magnitude silently rescales every ratio built on the atom.
+    of magnitude silently rescales every ratio built on the atom.  One
+    vectorized cubature call over the support box serves every dimension.
     """
     # imported on first use: it loads scipy.optimize and scipy.sparse too,
     # and the weak-type sweep never integrates adaptively
@@ -326,20 +327,17 @@ def _smooth_atom(family: CovarianceFamily, center: np.ndarray,
 
     gamma = invariant_measure(family)
 
-    def weighted(*coords) -> float:
-        pt = np.array([coords], dtype=float)
-        return float(raw(pt)[0] * np.exp(gamma.logpdf(pt)[0]))
+    def weighted(pts: np.ndarray) -> np.ndarray:
+        return raw(pts) * np.exp(gamma.logpdf(pts))
 
-    if center.size == 1:
-        mass, _ = integrate.quad(
-            weighted, center[0] - width, center[0] + width,
-            epsabs=0.0, epsrel=1e-10, limit=100,
+    res = integrate.cubature(
+        weighted, center - width, center + width, rule="gk21", atol=0.0, rtol=1e-10
+    )
+    if res.status != "converged":
+        raise NumericalError(
+            f"smooth atom mass {res.status} after {res.subdivisions} subdivisions"
         )
-    else:
-        box = [(c - width, c + width) for c in center]
-        mass, _ = integrate.nquad(
-            weighted, box, opts={"epsabs": 0.0, "epsrel": 1e-9, "limit": 80}
-        )
+    mass = float(res.estimate)
     if not mass > 0:
         raise NumericalError("smooth atom has vanishing mass")
 

@@ -272,13 +272,30 @@ def apply_semigroup_kernel(
     return out
 
 
-def _adaptive_integral(model: OUModel, integrand: Callable) -> float:
-    """Adaptive integration of a callable over R^n (n <= 3).
+def _adaptive_integral(
+    model: OUModel, integrand: Callable, box: tuple | None = None
+) -> float:
+    """Adaptive integration of a vectorized callable over R^n (n <= 3), or
+    over a box outside which it vanishes.
 
     Tolerances are pushed well below the 1e-8 identity gates because the
     localized integrands are merely C-infinity (compactly supported bumps),
     where fixed Gaussian rules stall around 1e-4 -- the whole reason this
     route exists.
+
+    ``box = (lo, hi)`` declares that the integrand vanishes outside that
+    axis-aligned box.  The integral then runs over the box alone, through one
+    ``scipy.integrate.cubature`` call (tensor Gauss-Kronrod 21) that hands
+    the integrand every node of a round as one (m, n) batch.  Without a box
+    the domain is all of R^n and the rule is QUADPACK (``quad`` in 1-d,
+    ``nquad`` above), one point per callback.  Unbounded integrals stay on
+    QUADPACK because ``cubature``'s infinite-limit map can miss narrow mass
+    and still report success: over (-inf, inf) it returned 0 with error 0 and
+    status "converged" on a 1-d cell integrand.
+
+    Either way the error estimate must pass ``max(1e-10, 1e-8 |value|)``,
+    and a cubature run that stops unconverged raises
+    ``QuadratureNonConvergent`` too.
     """
     import warnings
 
@@ -287,26 +304,35 @@ def _adaptive_integral(model: OUModel, integrand: Callable) -> float:
     n = model.n
     if n > 3:
         raise ValidationError("adaptive quadrature supports n <= 3")
-    with warnings.catch_warnings():
-        # the explicit error gate below is the authority; scipy's roundoff
-        # warning fires routinely at these tolerances without carrying info
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if n == 1:
-            def g(u):
-                return float(integrand(np.array([[u]]))[0])
-
-            val, err = integrate.quad(
-                g, -np.inf, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11
+    if box is not None:
+        lo, hi = box
+        res = integrate.cubature(integrand, lo, hi, rule="gk21", atol=1e-12, rtol=1e-11)
+        if res.status != "converged":
+            raise QuadratureNonConvergent(
+                f"adaptive cubature {res.status} after {res.subdivisions} subdivisions"
             )
-        else:
-            def g(*coords):
-                return float(integrand(np.array([coords]))[0])
+        val, err = float(res.estimate), float(res.error)
+    else:
+        with warnings.catch_warnings():
+            # the explicit error gate below is the authority; scipy's roundoff
+            # warning fires routinely at these tolerances without carrying info
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            if n == 1:
+                def g(u):
+                    return float(integrand(np.array([[u]]))[0])
 
-            val, err = integrate.nquad(
-                g,
-                [(-np.inf, np.inf)] * n,
-                opts={"limit": 120, "epsabs": 1e-10, "epsrel": 1e-10},
-            )
+                val, err = integrate.quad(
+                    g, -np.inf, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11
+                )
+            else:
+                def g(*coords):
+                    return float(integrand(np.array([coords]))[0])
+
+                val, err = integrate.nquad(
+                    g,
+                    [(-np.inf, np.inf)] * n,
+                    opts={"limit": 120, "epsabs": 1e-10, "epsrel": 1e-10},
+                )
     if err > max(1e-10, 1e-8 * abs(val)):
         raise QuadratureNonConvergent(
             f"adaptive rule error estimate {err:.3e} too large for value {val:.6e}"
@@ -613,10 +639,19 @@ def _adaptive_on_support(model, scheme, j: int, f: Callable, body: Callable) -> 
     """Adaptive integral of a cell integrand that is ``body(pts, g)`` where
     g = f r_j is nonzero and exactly zero elsewhere.
 
+    r_j vanishes outside the ball |u - c_j| < 4 rho_j, so the integral runs
+    over the box c_j +- 4 rho_j and not over R^n.  A rule over R^n samples
+    that ball sparsely, and in 2-d ``nquad`` missed it altogether and
+    returned 0.  Over the box, one cubature call hands the whole node batch
+    of a round to the vectorized integrand.
+
     f is evaluated first, r_j only where f is nonzero, and ``body`` (the
     kernel work) only where g is.  Far off the support the kernel logs can
     overflow, and 0 * inf would poison the rule.
     """
+    reach = 4.0 * float(scheme.radii[j])
+    center = scheme.centers[j]
+
     def integrand(pts):
         out = np.zeros(pts.shape[0])
         fv = _eval_f(f, pts)
@@ -629,7 +664,7 @@ def _adaptive_on_support(model, scheme, j: int, f: Callable, body: Callable) -> 
                 out[live] = body(pts[live], g)
         return out
 
-    return _adaptive_integral(model, integrand)
+    return _adaptive_integral(model, integrand, (center - reach, center + reach))
 
 
 def delta_op(

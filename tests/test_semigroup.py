@@ -16,7 +16,9 @@ from ou_jump_lab import (
     BadKappa,
     BoxTooSmall,
     ExperimentConfig,
+    NumericalError,
     OutOfBox,
+    QuadratureNonConvergent,
     QuadratureSpec,
     TimeNonPositive,
     TimeOutOfRegime,
@@ -411,9 +413,20 @@ def test_main_op_convolution_agrees(scheme_1d):
     assert abs(a) > 1e-4  # the check must not pass vacuously
 
 
+def _cell_ops(model, family, scheme, j, t, f, x):
+    ops = {
+        kappa: delta_op(model, family, scheme, kappa, j, t, f, x, ADAPTIVE)
+        for kappa in (1, 2, 3)
+    }
+    ops["main"] = main_op(model, family, scheme, j, t, f, x, ADAPTIVE)
+    ops["conv"] = main_op_convolution(model, family, scheme, j, t, f, x, ADAPTIVE)
+    return ops
+
+
 def test_adaptive_cell_integrands_skip_zeros_of_f(monkeypatch):
     """The adaptive cell integrands only do kernel work where f is nonzero,
-    and give exactly the value of the integrand evaluated everywhere."""
+    and give exactly the value of the integrand evaluated everywhere on the
+    cell's support box."""
     model, family = _standard()
     config = ExperimentConfig()
     scheme = build_localization(model, family, config.box, config.lattice_step)
@@ -426,6 +439,7 @@ def test_adaptive_cell_integrands_skip_zeros_of_f(monkeypatch):
     gamma = invariant_measure(family)
     gauss = GaussianMeasure(x, t * model.diffusion)
     rx = quadratic_R(family, x)
+    box = (center - 4.0 * radius, center + 4.0 * radius)
     seen = []
 
     def everywhere(body):
@@ -434,7 +448,7 @@ def test_adaptive_cell_integrands_skip_zeros_of_f(monkeypatch):
             seen.append(g)
             return body(pts, g)
 
-        return rt * _adaptive_integral(model, integrand)
+        return rt * _adaptive_integral(model, integrand, box)
 
     def delta_body(kappa):
         def body(pts, g):
@@ -464,7 +478,9 @@ def test_adaptive_cell_integrands_skip_zeros_of_f(monkeypatch):
     refs = {kappa: everywhere(delta_body(kappa)) for kappa in (1, 2, 3)}
     refs["main"] = everywhere(main_body)
     refs["conv"] = everywhere(conv_body)
-    assert np.mean(np.concatenate(seen) == 0.0) > 0.5  # the gate has work to skip
+    # the gate has work to skip: f is zero on most of the box, and the rule's
+    # nodes still land there a third of the time
+    assert np.mean(np.concatenate(seen) == 0.0) > 0.25
     assert abs(refs["main"]) > 1.0
 
     received = []
@@ -478,16 +494,87 @@ def test_adaptive_cell_integrands_skip_zeros_of_f(monkeypatch):
 
     monkeypatch.setattr(semigroup, "_log_kernel_values", recording(_log_kernel_values, 5))
     monkeypatch.setattr(semigroup, "quadratic_R", recording(quadratic_R, 1))
-    got = {
-        kappa: delta_op(model, family, scheme, kappa, j, t, f, x, ADAPTIVE)
-        for kappa in (1, 2, 3)
-    }
-    got["main"] = main_op(model, family, scheme, j, t, f, x, ADAPTIVE)
-    got["conv"] = main_op_convolution(model, family, scheme, j, t, f, x, ADAPTIVE)
-    assert got == refs
+    assert _cell_ops(model, family, scheme, j, t, f, x) == refs
     pts = np.concatenate(received)
     assert pts.shape[0] > 100
     assert np.all(f(pts) != 0.0)
+
+
+@pytest.mark.parametrize("target", [0.0, 2.0, 4.0])
+def test_cell_support_box_matches_real_line(monkeypatch, target):
+    """Integrating the cell operators over the support box |u - c_j| < 4 rho_j
+    gives the value of the same integrand integrated over all of R.  The
+    payload's support covers the cell's whole partition support, so a box
+    that cuts into it changes the value."""
+    model, family = _standard()
+    config = ExperimentConfig()
+    scheme = build_localization(model, family, config.box, config.lattice_step)
+    j = int(np.argmin(np.abs(np.linalg.norm(scheme.centers, axis=1) - target)))
+    center, radius = scheme.centers[j], float(scheme.radii[j])
+    f = _bump_payload(center + radius, 5.0 * radius)
+    x, t = center + 0.25 * radius, 0.5 * scheme.cell_time_cap(j)
+    on_box = _cell_ops(model, family, scheme, j, t, f, x)
+    monkeypatch.setattr(
+        semigroup, "_adaptive_integral",
+        lambda model, integrand, box=None: _adaptive_integral(model, integrand),
+    )
+    on_line = _cell_ops(model, family, scheme, j, t, f, x)
+    for key, ref in on_line.items():
+        assert abs(ref) > 1e-3, key  # the comparison must not pass vacuously
+        # both rules run at atol 1e-12; the kappa = 2 leg is only ~0.01
+        assert abs(on_box[key] - ref) <= 1e-12 * max(1.0, abs(ref)), (key, on_box[key], ref)
+
+
+def test_cell_operators_2d_match_grid_oracle():
+    """On rotating2d the adaptive main operator and its convolution form are
+    nonzero, agree, and match a 601 x 601 tensor grid over the support box
+    (the integrand vanishes smoothly at the box edge, so the plain grid sum
+    converges fast)."""
+    model, family = _rotating()
+    scheme = build_localization(model, family, [(-3.0, 3.0), (-3.0, 3.0)])
+    j = int(np.argmin(np.abs(np.linalg.norm(scheme.centers, axis=1) - 2.0)))
+    center, radius = scheme.centers[j], float(scheme.radii[j])
+    f = _smooth_atom(family, center, 0.5 * radius)
+    x = center + 0.25 * radius
+    t = 0.5 * scheme.cell_time_cap(j)
+    a = main_op(model, family, scheme, j, t, f, x, ADAPTIVE)
+    b = main_op_convolution(model, family, scheme, j, t, f, x, ADAPTIVE)
+    assert a > 1.0
+    assert abs(a - b) <= 1e-8 * abs(a)
+
+    axes = [np.linspace(c - 4.0 * radius, c + 4.0 * radius, 601) for c in center]
+    cell = (axes[0][1] - axes[0][0]) * (axes[1][1] - axes[1][0])
+    u0, u1 = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([u0.ravel(), u1.ravel()])
+    g = f(pts) * scheme.r_j(j, pts)
+    pts, g = pts[g != 0.0], g[g != 0.0]
+    a3 = _log_kernel_values(model, family, 3, t, np.broadcast_to(x, pts.shape), pts)
+    gamma = invariant_measure(family)
+    grid = scheme.rt_at(j, x) * cell * float(np.sum(np.exp(a3 + gamma.logpdf(pts)) * g))
+    for value in (a, b):
+        assert abs(value - grid) <= 1e-9 * grid, (value, grid)
+
+
+def test_unconverged_cubature_raises(monkeypatch):
+    """A cubature run that stops short fails the cell operator and the atom
+    mass, whatever its error estimate says."""
+    from scipy import integrate
+
+    real = integrate.cubature
+
+    def stalled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status = "not_converged"
+        return res
+
+    model, family = _standard()
+    scheme = build_localization(model, family, [(-4.0, 4.0)])
+    f = _bump_payload([0.0], 1.2)
+    monkeypatch.setattr(integrate, "cubature", stalled)
+    with pytest.raises(QuadratureNonConvergent):
+        main_op(model, family, scheme, 0, 0.4, f, np.array([0.3]), ADAPTIVE)
+    with pytest.raises(NumericalError):
+        _smooth_atom(family, np.array([0.0]), 0.5)
 
 
 def test_delta_op_validation(scheme_1d):
