@@ -50,6 +50,8 @@ from .functionals import (
     weak_quasinorm,
 )
 from .kernels import (
+    _kernel_gap,
+    _short_time_cap,
     kernel_difference,
     ktilde,
     mehler_kernel,
@@ -71,7 +73,6 @@ from .semigroup import (
     _bump_profile,
     _cell_terms,
     _global_rows,
-    _kernel_gap,
     apply_semigroup_kernel,
     apply_semigroup_kolmogorov,
     build_localization,
@@ -305,6 +306,25 @@ def monomial(powers: Sequence[int]) -> Callable:
     return f
 
 
+def _support_integral(fn: Callable, lo: np.ndarray, hi: np.ndarray, what: str) -> float:
+    """Integral of a nonnegative vectorized ``fn`` over the box [lo, hi]
+    outside which it vanishes: one cubature call (tensor Gauss-Kronrod 21,
+    rtol 1e-10) that hands ``fn`` each round's nodes as one batch, in every
+    dimension.  ``what`` names the integral in the error raised when the
+    rule stops unconverged or the value is not positive."""
+    # imported on first use: it loads scipy.optimize and scipy.sparse too,
+    # and the weak-type sweep never integrates adaptively
+    from scipy import integrate
+
+    res = integrate.cubature(fn, lo, hi, rule="gk21", atol=0.0, rtol=1e-10)
+    if res.status != "converged":
+        raise NumericalError(f"{what} {res.status} after {res.subdivisions} subdivisions")
+    val = float(res.estimate)
+    if not val > 0:
+        raise NumericalError(f"{what} vanishes")
+    return val
+
+
 def _smooth_atom(family: CovarianceFamily, center: np.ndarray,
                  width: float) -> Callable:
     """Smooth compactly supported atom, normalized to unit invariant-L1 mass.
@@ -312,13 +332,8 @@ def _smooth_atom(family: CovarianceFamily, center: np.ndarray,
     The mass is integrated over the atom's own support rather than by the
     field quadrature rule: a narrow bump far from the origin falls between
     the nodes of any fixed Gaussian rule, and a mass that is off by an order
-    of magnitude silently rescales every ratio built on the atom.  One
-    vectorized cubature call over the support box serves every dimension.
+    of magnitude silently rescales every ratio built on the atom.
     """
-    # imported on first use: it loads scipy.optimize and scipy.sparse too,
-    # and the weak-type sweep never integrates adaptively
-    from scipy import integrate
-
     center = np.asarray(center, dtype=float)
 
     def raw(pts: np.ndarray) -> np.ndarray:
@@ -330,16 +345,8 @@ def _smooth_atom(family: CovarianceFamily, center: np.ndarray,
     def weighted(pts: np.ndarray) -> np.ndarray:
         return raw(pts) * np.exp(gamma.logpdf(pts))
 
-    res = integrate.cubature(
-        weighted, center - width, center + width, rule="gk21", atol=0.0, rtol=1e-10
-    )
-    if res.status != "converged":
-        raise NumericalError(
-            f"smooth atom mass {res.status} after {res.subdivisions} subdivisions"
-        )
-    mass = float(res.estimate)
-    if not mass > 0:
-        raise NumericalError("smooth atom has vanishing mass")
+    mass = _support_integral(weighted, center - width, center + width,
+                             "smooth atom mass")
 
     def f(pts: np.ndarray) -> np.ndarray:
         return raw(pts) / mass
@@ -631,7 +638,7 @@ def run_weak_type_sweep(config: ExperimentConfig) -> WeakTypeReport:
         xs, weights = _spatial_grid(config, family, center, radius)
         field = _exact_field(model, family, lo, hi, mass, xs, ts_fine)
         m = _measure_field(ts_fine, field, weights, config)
-        cap = min(1.0, 1.0 / (center * center)) if center != 0.0 else 1.0
+        cap = _short_time_cap(center)
         regime_vals = []
         for wlo, whi in ((config.t_min, cap), (cap, 1.0), (1.0, t_max)):
             mask = (ts_fine >= wlo) & (ts_fine <= whi)
@@ -824,19 +831,6 @@ def _invariant_window_weights_1d(family: CovarianceFamily,
     return np.diff(ndtr(_clipped_voronoi_edges(pts) / sd))
 
 
-def _lebesgue_l1_1d(f: Callable, center: float, width: float) -> float:
-    """Lebesgue L1 norm of a nonnegative bump supported on [c - w, c + w]."""
-    from scipy import integrate  # on first use, as in _smooth_atom
-
-    val, _ = integrate.quad(
-        lambda u: float(f(np.array([[u]]))[0]),
-        center - width, center + width, limit=100,
-    )
-    if not val > 0:
-        raise NumericalError("atom has vanishing Lebesgue mass")
-    return float(val)
-
-
 def run_regime_checks(config: ExperimentConfig) -> RegimeReport:
     """Evaluate the per-regime seminorm ratios across localization cells.
 
@@ -942,7 +936,8 @@ def run_regime_checks(config: ExperimentConfig) -> RegimeReport:
             field_mid = _cell_field(
                 model, family, scheme, j, atom, xs_cell, ts_mid, quad
             )["h_local"]
-            atom_l1 = _lebesgue_l1_1d(atom, float(center[0]), width)
+            atom_l1 = _support_integral(atom, center - width, center + width,
+                                        "atom Lebesgue mass")
             add_row("localized_var_mid_window", j, detail, _measure_field(
                 ts_mid, field_mid, _lebesgue_weights_1d(xs_cell[:, 0]), config,
                 functional="variation", norm=atom_l1,

@@ -103,6 +103,13 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _short_time_cap(center) -> float:
+    """Upper end of the short-time regime (0, min(1, 1/|c|^2)] of the cell
+    centred at c."""
+    norm_c = float(np.linalg.norm(center))
+    return min(1.0, 1.0 / (norm_c * norm_c)) if norm_c > 0 else 1.0
+
+
 def _pair_arrays(model: OUModel, x, u) -> tuple:
     """Broadcast x against u and return (X, U, single) with shape (m, n)."""
     xs = np.asarray(x, dtype=float)
@@ -263,6 +270,11 @@ def n_factor(
     return float(_n_factor_values(model, family, kappa, t, xs, us)[0])
 
 
+def _kernel_gap(a_prev: np.ndarray, a_cur: np.ndarray) -> np.ndarray:
+    """kernel_{kappa-1} - kernel_kappa from their logs, without cancellation."""
+    return -np.exp(a_prev) * np.expm1(a_cur - a_prev)
+
+
 def kernel_difference(
     model: OUModel,
     family: CovarianceFamily,
@@ -273,8 +285,8 @@ def kernel_difference(
 ) -> float:
     """Difference kernel (kappa-1 minus kappa), evaluated cancellation-safely.
 
-    Computed as ``-exp(l_prev) * expm1(l_cur - l_prev)`` so that nearly equal
-    kernels lose no precision to subtraction.  ``kappa`` indexes the
+    Computed by ``_kernel_gap`` so that nearly equal kernels lose no
+    precision to subtraction.  ``kappa`` indexes the
     *second* member of the pair and must be in {1, 2, 3}.
     """
     if kappa not in (1, 2, 3):
@@ -283,7 +295,7 @@ def kernel_difference(
     xs, us, _ = _pair_arrays(model, x, u)
     l_prev = _log_kernel_values(model, family, kappa - 1, t, xs, us)
     l_cur = _log_kernel_values(model, family, kappa, t, xs, us)
-    return float((-np.exp(l_prev) * np.expm1(l_cur - l_prev))[0])
+    return float(_kernel_gap(l_prev, l_cur)[0])
 
 
 def dt_kernel_difference(
@@ -309,9 +321,8 @@ def dt_kernel_difference(
     l_cur = _log_kernel_values(model, family, kappa, t, xs, us)
     n_prev = _n_factor_values(model, family, kappa - 1, t, xs, us)
     n_cur = _n_factor_values(model, family, kappa, t, xs, us)
-    k_prev = np.exp(l_prev)
-    k_diff = -k_prev * np.expm1(l_cur - l_prev)
-    return float((k_prev * (n_prev - n_cur) + n_cur * k_diff)[0])
+    k_diff = _kernel_gap(l_prev, l_cur)
+    return float((np.exp(l_prev) * (n_prev - n_cur) + n_cur * k_diff)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +551,8 @@ def certify_bound(
         if sample_spec.cell_center is None:
             raise ValidationError(f"{bound_id} requires sample_spec.cell_center")
         center = np.asarray(sample_spec.cell_center, dtype=float).reshape(n)
-        norm_c = float(np.linalg.norm(center))
-        cap = min(1.0, 1.0 / (norm_c * norm_c)) if norm_c > 0 else 1.0
-        radius = 6.0 / (1.0 + norm_c)
+        cap = _short_time_cap(center)
+        radius = 6.0 / (1.0 + float(np.linalg.norm(center)))
     else:
         center = None
         cap = 1.0

@@ -37,7 +37,12 @@ from .errors import (
     TimeOutOfRegime,
     ValidationError,
 )
-from .kernels import _check_time, _log_kernel_values
+from .kernels import (
+    _check_time,
+    _kernel_gap,
+    _log_kernel_values,
+    _short_time_cap,
+)
 from .model import (
     CovarianceFamily,
     GaussianMeasure,
@@ -137,6 +142,14 @@ def _gaussian_nodes(
     return nodes, weights
 
 
+def _gaussian_box(mean: np.ndarray, cov: np.ndarray, quad: QuadratureSpec) -> tuple:
+    """The box mean +- domain_cutoff sqrt(diag cov): it holds every node the
+    tensor rule keeps for N(mean, cov), so an adaptive rule over it sees the
+    same domain."""
+    half = quad.domain_cutoff * np.sqrt(np.diag(cov))
+    return mean - half, mean + half
+
+
 def _eval_f(f: Callable, pts: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(pts), dtype=float)
     return vals.reshape(pts.shape[0])
@@ -155,7 +168,11 @@ def expect_invariant(
     """Expectation of ``f`` under the invariant measure."""
     if quad.scheme == "adaptive":
         gamma = invariant_measure(family)
-        return _adaptive_integral(model, lambda pts: _eval_f(f, pts) * np.exp(gamma.logpdf(pts)))
+        return _adaptive_integral(
+            model,
+            lambda pts: _eval_f(f, pts) * np.exp(gamma.logpdf(pts)),
+            _gaussian_box(np.zeros(model.n), family.qinf, quad),
+        )
     nodes, weights = _gaussian_nodes(np.zeros(model.n), family.qinf_chol, quad)
     return float(weights @ _eval_f(f, nodes))
 
@@ -184,7 +201,9 @@ def apply_semigroup_kolmogorov(
     if quad.scheme == "adaptive":
         gauss = GaussianMeasure(mean, bundle.qt)
         return _adaptive_integral(
-            model, lambda pts: _eval_f(f, pts) * np.exp(gauss.logpdf(pts))
+            model,
+            lambda pts: _eval_f(f, pts) * np.exp(gauss.logpdf(pts)),
+            _gaussian_box(mean, bundle.qt, quad),
         )
     nodes, weights = _gaussian_nodes(mean, bundle.qt_chol, quad)
     return float(weights @ _eval_f(f, nodes))
@@ -257,12 +276,15 @@ def apply_semigroup_kernel(
     x = _check_point(model, x)
     if quad.scheme == "adaptive":
         gamma = invariant_measure(family)
+        bundle = family.qt_bundle(t)
 
         def integrand(pts):
             logk = _log_kernel_values(model, family, 0, t, np.broadcast_to(x, pts.shape), pts)
             return np.exp(logk + gamma.logpdf(pts)) * _eval_f(f, pts)
 
-        return _adaptive_integral(model, integrand)
+        # kernel times invariant density is the transition density
+        box = _gaussian_box(bundle.exp_tb @ x, bundle.qt, quad)
+        return _adaptive_integral(model, integrand, box)
     nodes, xb, weights, adj = _batch_nodes(model, family, t, x[None, :], quad)
     logk = _log_kernel_values(model, family, 0, t, xb, nodes)
     vals = np.exp(logk + adj) * _eval_f(f, nodes)
@@ -272,72 +294,41 @@ def apply_semigroup_kernel(
     return out
 
 
-def _adaptive_integral(
-    model: OUModel, integrand: Callable, box: tuple | None = None
-) -> float:
-    """Adaptive integration of a vectorized callable over R^n (n <= 3), or
-    over a box outside which it vanishes.
+def _adaptive_integral(model: OUModel, integrand: Callable, box: tuple) -> float:
+    """Adaptive integral of a vectorized callable (n <= 3) over the box
+    ``(lo, hi)`` outside which it vanishes or is negligible.
 
     Tolerances are pushed well below the 1e-8 identity gates because the
     localized integrands are merely C-infinity (compactly supported bumps),
     where fixed Gaussian rules stall around 1e-4 -- the whole reason this
     route exists.
 
-    ``box = (lo, hi)`` declares that the integrand vanishes outside that
-    axis-aligned box.  The integral then runs over the box alone, through one
-    ``scipy.integrate.cubature`` call (tensor Gauss-Kronrod 21) that hands
-    the integrand every node of a round as one (m, n) batch.  Without a box
-    the domain is all of R^n and the rule is QUADPACK (``quad`` in 1-d,
-    ``nquad`` above), one point per callback.  Unbounded integrals stay on
-    QUADPACK because ``cubature``'s infinite-limit map can miss narrow mass
-    and still report success: over (-inf, inf) it returned 0 with error 0 and
-    status "converged" on a 1-d cell integrand.
+    One ``scipy.integrate.cubature`` call (tensor Gauss-Kronrod 21) hands
+    the integrand every node of a round as one (m, n) batch.  The box is
+    always finite: the cell operators pass their partition support, the
+    Gaussian-weighted routes ``_gaussian_box``.  A rule over all of R^n
+    samples a narrow bump too sparsely: there both QUADPACK and
+    ``cubature``'s infinite-limit map returned 0 as a converged value.
 
-    Either way the error estimate must pass ``max(1e-10, 1e-8 |value|)``,
-    and a cubature run that stops unconverged raises
-    ``QuadratureNonConvergent`` too.
+    A run that stops unconverged, or whose error estimate exceeds
+    ``max(1e-10, 1e-8 |value|)``, raises ``QuadratureNonConvergent``.
     """
-    import warnings
-
     from scipy import integrate
 
-    n = model.n
-    if n > 3:
+    if model.n > 3:
         raise ValidationError("adaptive quadrature supports n <= 3")
-    if box is not None:
-        lo, hi = box
-        res = integrate.cubature(integrand, lo, hi, rule="gk21", atol=1e-12, rtol=1e-11)
-        if res.status != "converged":
-            raise QuadratureNonConvergent(
-                f"adaptive cubature {res.status} after {res.subdivisions} subdivisions"
-            )
-        val, err = float(res.estimate), float(res.error)
-    else:
-        with warnings.catch_warnings():
-            # the explicit error gate below is the authority; scipy's roundoff
-            # warning fires routinely at these tolerances without carrying info
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            if n == 1:
-                def g(u):
-                    return float(integrand(np.array([[u]]))[0])
-
-                val, err = integrate.quad(
-                    g, -np.inf, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11
-                )
-            else:
-                def g(*coords):
-                    return float(integrand(np.array([coords]))[0])
-
-                val, err = integrate.nquad(
-                    g,
-                    [(-np.inf, np.inf)] * n,
-                    opts={"limit": 120, "epsabs": 1e-10, "epsrel": 1e-10},
-                )
+    lo, hi = box
+    res = integrate.cubature(integrand, lo, hi, rule="gk21", atol=1e-12, rtol=1e-11)
+    if res.status != "converged":
+        raise QuadratureNonConvergent(
+            f"adaptive cubature {res.status} after {res.subdivisions} subdivisions"
+        )
+    val, err = float(res.estimate), float(res.error)
     if err > max(1e-10, 1e-8 * abs(val)):
         raise QuadratureNonConvergent(
             f"adaptive rule error estimate {err:.3e} too large for value {val:.6e}"
         )
-    return float(val)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +434,7 @@ class LocalizationScheme:
 
     def cell_time_cap(self, j: int) -> float:
         """Upper end of the short-time regime tied to cell j."""
-        norm_c = float(np.linalg.norm(self.centers[int(j)]))
-        return min(1.0, 1.0 / (norm_c * norm_c)) if norm_c > 0 else 1.0
+        return _short_time_cap(self.centers[int(j)])
 
     # -- reporting ------------------------------------------------------------
 
@@ -630,20 +620,12 @@ def _cell_terms(model, family, scheme, j, t, f, xs, kappas, quad) -> tuple:
     return weights, logs, g
 
 
-def _kernel_gap(a_prev: np.ndarray, a_cur: np.ndarray) -> np.ndarray:
-    """kernel_{kappa-1} - kernel_kappa from their logs, without cancellation."""
-    return -np.exp(a_prev) * np.expm1(a_cur - a_prev)
-
-
 def _adaptive_on_support(model, scheme, j: int, f: Callable, body: Callable) -> float:
     """Adaptive integral of a cell integrand that is ``body(pts, g)`` where
     g = f r_j is nonzero and exactly zero elsewhere.
 
     r_j vanishes outside the ball |u - c_j| < 4 rho_j, so the integral runs
-    over the box c_j +- 4 rho_j and not over R^n.  A rule over R^n samples
-    that ball sparsely, and in 2-d ``nquad`` missed it altogether and
-    returned 0.  Over the box, one cubature call hands the whole node batch
-    of a round to the vectorized integrand.
+    over the box c_j +- 4 rho_j.
 
     f is evaluated first, r_j only where f is nonzero, and ``body`` (the
     kernel work) only where g is.  Far off the support the kernel logs can

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ou_jump_lab import (
     BadKappa,
@@ -86,6 +87,10 @@ def test_expect_invariant_2d():
         model, family, lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, GAUSS
     )
     assert abs(got - 1.0) < 1e-12
+    got_adaptive = expect_invariant(
+        model, family, lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, ADAPTIVE
+    )
+    assert abs(got_adaptive - np.trace(family.qinf)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +519,17 @@ def test_cell_support_box_matches_real_line(monkeypatch, target):
     f = _bump_payload(center + radius, 5.0 * radius)
     x, t = center + 0.25 * radius, 0.5 * scheme.cell_time_cap(j)
     on_box = _cell_ops(model, family, scheme, j, t, f, x)
-    monkeypatch.setattr(
-        semigroup, "_adaptive_integral",
-        lambda model, integrand, box=None: _adaptive_integral(model, integrand),
-    )
+
+    def real_line(model, integrand, box):
+        # an oracle that shares no code with the box rule: QUADPACK over R
+        val, err = integrate.quad(
+            lambda u: float(integrand(np.array([[u]]))[0]),
+            -np.inf, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11,
+        )
+        assert err <= max(1e-10, 1e-8 * abs(val)), (val, err)
+        return val
+
+    monkeypatch.setattr(semigroup, "_adaptive_integral", real_line)
     on_line = _cell_ops(model, family, scheme, j, t, f, x)
     for key, ref in on_line.items():
         assert abs(ref) > 1e-3, key  # the comparison must not pass vacuously
@@ -555,11 +567,34 @@ def test_cell_operators_2d_match_grid_oracle():
         assert abs(value - grid) <= 1e-9 * grid, (value, grid)
 
 
+def test_gaussian_adaptive_routes_2d_match_grid_oracle():
+    """On rotating2d both adaptive semigroup routes see a narrow atom: over
+    their transition-Gaussian box they are nonzero and match a 401 x 401
+    tensor grid over the atom's support box (the integrand vanishes smoothly
+    at its edge, so the plain grid sum converges fast)."""
+    model, family = _rotating()
+    scheme = build_localization(model, family, [(-3.0, 3.0), (-3.0, 3.0)])
+    j = int(np.argmin(np.abs(np.linalg.norm(scheme.centers, axis=1) - 2.0)))
+    center, width = scheme.centers[j], 0.5 * float(scheme.radii[j])
+    f = _smooth_atom(family, center, width)
+    x = center + 0.5 * width
+    t = 0.5 * scheme.cell_time_cap(j)
+    bundle = family.qt_bundle(t)
+    axes = [np.linspace(c - width, c + width, 401) for c in center]
+    cell = (axes[0][1] - axes[0][0]) * (axes[1][1] - axes[1][0])
+    u0, u1 = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([u0.ravel(), u1.ravel()])
+    gauss = GaussianMeasure(bundle.exp_tb @ x, bundle.qt)
+    grid = cell * float(np.sum(f(pts) * np.exp(gauss.logpdf(pts))))
+    assert grid > 1.0
+    for route in (apply_semigroup_kolmogorov, apply_semigroup_kernel):
+        value = route(model, family, t, f, x, ADAPTIVE)
+        assert abs(value - grid) <= 1e-9 * grid, (route.__name__, value, grid)
+
+
 def test_unconverged_cubature_raises(monkeypatch):
     """A cubature run that stops short fails the cell operator and the atom
     mass, whatever its error estimate says."""
-    from scipy import integrate
-
     real = integrate.cubature
 
     def stalled(*args, **kwargs):
